@@ -30,7 +30,7 @@ func main() {
 		bSpec    = flag.String("b", "counties:400", "second dataset as name:count")
 		mask     = flag.String("mask", "anyinteract", "relate mask (anyinteract, touch, overlap, ...)")
 		distance = flag.Float64("distance", 0, "within-distance predicate instead of the mask")
-		parallel = flag.Int("parallel", 1, "parallel table-function instances")
+		parallel = flag.Int("parallel", 1, "worker count the join is planned for (0 = every core)")
 		strategy = flag.String("strategy", "index", "join strategy: index or nestedloop")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		printN   = flag.Int("print", 0, "print the first N result pairs")

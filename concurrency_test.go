@@ -271,29 +271,33 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 						return
 					}
 				} else {
-					cur, err := db.SpatialJoin("counties", "counties_idx",
-						"counties", "counties_idx", JoinOptions{})
-					if err != nil {
-						t.Errorf("reader %d join: %v", r, err)
-						return
-					}
-					n := 0
-					for {
-						_, ok, err := cur.Next()
+					// Every join path, including the cost model's pick
+					// (the nested loop at this size) and the forced ones.
+					for _, algo := range []string{"", "nested", "subtree", "grid"} {
+						cur, err := db.SpatialJoin("counties", "counties_idx",
+							"counties", "counties_idx", JoinOptions{Algo: algo})
 						if err != nil {
-							t.Errorf("reader %d join next: %v", r, err)
-							cur.Close()
+							t.Errorf("reader %d join algo=%q: %v", r, algo, err)
 							return
 						}
-						if !ok {
-							break
+						n := 0
+						for {
+							_, ok, err := cur.Next()
+							if err != nil {
+								t.Errorf("reader %d join algo=%q next: %v", r, algo, err)
+								cur.Close()
+								return
+							}
+							if !ok {
+								break
+							}
+							n++
 						}
-						n++
-					}
-					cur.Close()
-					if n < 48 {
-						t.Errorf("reader %d: self-join streamed %d pairs, want >= row count", r, n)
-						return
+						cur.Close()
+						if n < 48 {
+							t.Errorf("reader %d: algo=%q self-join streamed %d pairs, want >= row count", r, algo, n)
+							return
+						}
 					}
 				}
 			}

@@ -48,7 +48,8 @@ func main() {
 		nlTime := time.Since(t0)
 
 		t0 = time.Now()
-		cur, err := db.SpatialJoin("stars", "stars_idx", "stars", "stars_idx", spatialtf.JoinOptions{})
+		cur, err := db.SpatialJoin("stars", "stars_idx", "stars", "stars_idx",
+			spatialtf.JoinOptions{Algo: "subtree", Parallel: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func main() {
 
 		t0 = time.Now()
 		pcur, err := db.SpatialJoin("stars", "stars_idx", "stars", "stars_idx",
-			spatialtf.JoinOptions{Parallel: *workers})
+			spatialtf.JoinOptions{Algo: "subtree", Parallel: *workers})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -43,9 +43,9 @@ var HotAlloc = &Analyzer{
 // entry exercises the seeding machinery in the golden fixture.
 var hotSeeds = map[string][]string{
 	"internal/sjoin": {
-		"JoinFunction.Fetch", "JoinFunction.fillCandidates", "JoinFunction.sweepPair",
+		"JoinFunction.Fetch", "JoinFunction.fillCandidates", "JoinFunction.entryPairs", "sweep",
 		"JoinFunction.emitLeafPair", "JoinFunction.secondaryFilter", "JoinFunction.fetchGeom",
-		"GridJoinFunction.Fetch", "gridState.sweepTile", "assignGrid",
+		"GridJoinFunction.Fetch", "GridJoinFunction.fillTile", "assignGrid",
 	},
 	"internal/tablefunc": {"pipelineCursor.Next", "parallelCursor.Next"},
 	"internal/rtree": {

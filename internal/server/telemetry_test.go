@@ -29,32 +29,40 @@ func TestServerMetricsFrame(t *testing.T) {
 	}
 	defer cli.Close()
 
-	// Run a join to completion so the join instruments move.
-	res, err := cli.Query(joinSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cursor == nil {
-		t.Fatal("join did not stream")
-	}
-	for {
-		_, done, err := res.Cursor.Fetch(64)
+	// runJoin runs a join to completion so the join instruments move.
+	runJoin := func(sql string) {
+		t.Helper()
+		res, err := cli.Query(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done {
-			break
+		if res.Cursor == nil {
+			t.Fatal("join did not stream")
+		}
+		for {
+			_, done, err := res.Cursor.Fetch(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				break
+			}
 		}
 	}
-
-	pts, err := cli.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	metrics := func() map[string]telemetry.Point {
+		t.Helper()
+		pts, err := cli.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byName := make(map[string]telemetry.Point, len(pts))
+		for _, p := range pts {
+			byName[p.Name] = p
+		}
+		return byName
 	}
-	byName := make(map[string]telemetry.Point, len(pts))
-	for _, p := range pts {
-		byName[p.Name] = p
-	}
+	runJoin(joinSQL)
+	byName := metrics()
 	for _, name := range []string{
 		"server_queries_total", "server_fetches_total", "server_conns_active",
 		"join_results_total", "join_node_pairs_total",
@@ -79,6 +87,15 @@ func TestServerMetricsFrame(t *testing.T) {
 	}
 	if st, ok := byName["join_secondary_filter_seconds"]; !ok || st.Kind != telemetry.KindHistogram {
 		t.Errorf("join stage histogram missing from the wire snapshot")
+	}
+
+	// The forced nested loop feeds the same join counters.
+	runJoin("SELECT rid1, rid2 FROM TABLE(spatial_join('counties','geom','counties','geom','anyinteract','algo=nested'))")
+	after := metrics()
+	for _, name := range []string{"join_results_total", "join_candidates_total"} {
+		if after[name].Value <= byName[name].Value {
+			t.Errorf("algo=nested left %s at %g", name, after[name].Value)
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ func TestParseAlgo(t *testing.T) {
 		"auto":    AlgoAuto,
 		"nested":  AlgoNested,
 		"subtree": AlgoSubtree,
-		"rtree":   AlgoSubtree,
 		"grid":    AlgoGrid,
 	}
 	for s, want := range cases {
@@ -21,8 +20,10 @@ func TestParseAlgo(t *testing.T) {
 			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseAlgo("bogus"); err == nil {
-		t.Errorf("ParseAlgo(bogus): want error")
+	for _, bad := range []string{"bogus", "rtree"} {
+		if _, err := ParseAlgo(bad); err == nil {
+			t.Errorf("ParseAlgo(%q): want error", bad)
+		}
 	}
 	for _, a := range []Algo{AlgoAuto, AlgoNested, AlgoSubtree, AlgoGrid} {
 		back, err := ParseAlgo(a.String())

@@ -109,11 +109,18 @@ var nopSpan = func() {}
 // last flush onto the shared instruments. Called once per fetch and at
 // close, so the registry trails the hot loop by at most one batch.
 func (j *JoinFunction) flushStats() {
-	in := j.instr
+	if j.instr == nil {
+		return
+	}
+	j.instr.add(j.stats, j.flushed)
+	j.flushed = j.stats
+}
+
+// add pushes the counter growth from prev to cur. Nil-safe.
+func (in *Instruments) add(cur, prev JoinStats) {
 	if in == nil {
 		return
 	}
-	cur, prev := j.stats, j.flushed
 	in.NodePairs.Add(int64(cur.NodePairsVisited - prev.NodePairsVisited))
 	in.NodeAccesses.Add(int64(cur.NodeAccesses - prev.NodeAccesses))
 	in.Candidates.Add(int64(cur.Candidates - prev.Candidates))
@@ -121,5 +128,4 @@ func (j *JoinFunction) flushStats() {
 	in.GeomFetches.Add(int64(cur.GeomFetches - prev.GeomFetches))
 	in.FastAccepts.Add(int64(cur.FastAccepts - prev.FastAccepts))
 	in.TilesSwept.Add(int64(cur.TilesSwept - prev.TilesSwept))
-	j.flushed = cur
 }

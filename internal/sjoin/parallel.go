@@ -142,50 +142,77 @@ func dealPairs(pairs []PairOfRoots, workers int) [][]nodePair {
 	return parts
 }
 
+// prepareInstances is the preparation every parallel join path and its
+// simulator share: config defaults, one decoded-geometry cache for all
+// instances (the sharded LRU is safe for concurrent instances; otherwise
+// each instance would warm a private cache), the resolved worker count,
+// and the operand column checks.
+func prepareInstances(a, b Source, cfg Config, workers int) (Config, int, error) {
+	cfg = cfg.withDefaults()
+	cfg.GeomCache = cfg.resolveCache()
+	if _, err := a.geomColumn(); err != nil {
+		return cfg, 0, err
+	}
+	if _, err := b.geomColumn(); err != nil {
+		return cfg, 0, err
+	}
+	return cfg, normWorkers(workers), nil
+}
+
+// placeholderCursors returns n empty input cursors for tablefunc.Parallel:
+// the instances' real input is delivered through the factory closure, so
+// the cursors are positional only.
+func placeholderCursors(n int) []storage.Cursor {
+	cursors := make([]storage.Cursor, n)
+	for i := range cursors {
+		cursors[i] = storage.NewSliceCursor(nil, nil)
+	}
+	return cursors
+}
+
+// subtreeInstances is the setup ParallelIndexJoin and
+// SimulateParallelIndexJoin share: the parallel-instance preparation,
+// the subtree-pair decomposition, and the longest-first deal into
+// `workers` partitions, returning one spatial_join instance per
+// non-empty partition plus the resolved worker count.
+func subtreeInstances(a, b Source, cfg Config, workers int) ([]*JoinFunction, int, error) {
+	cfg, workers, err := prepareInstances(a, b, cfg, workers)
+	if err != nil {
+		return nil, 0, err
+	}
+	var fns []*JoinFunction
+	for _, part := range dealPairs(SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg), workers) {
+		if len(part) == 0 {
+			continue
+		}
+		fn, err := newJoinFn(a, b, cfg, part)
+		if err != nil {
+			return nil, 0, err
+		}
+		fns = append(fns, fn)
+	}
+	return fns, workers, nil
+}
+
 // ParallelIndexJoin evaluates the spatial join with `workers` parallel
 // instances of the spatial_join table function, each joining a
 // partition of the subtree-pair stream. The returned cursor merges the
 // instances' pipelined outputs (order unspecified).
 func ParallelIndexJoin(a, b Source, cfg Config, workers int) (storage.Cursor, error) {
-	cfg = cfg.withDefaults()
-	// Resolve the decoded-geometry cache once so all instances share it
-	// (the sharded LRU is safe for concurrent instances); otherwise each
-	// instance would warm a private cache.
-	cfg.GeomCache = cfg.resolveCache()
-	workers = normWorkers(workers)
-	if _, err := a.geomColumn(); err != nil {
+	fns, _, err := subtreeInstances(a, b, cfg, workers)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := b.geomColumn(); err != nil {
-		return nil, err
-	}
-	pairs := SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg)
-	parts := dealPairs(pairs, workers)
-	var cursors []storage.Cursor
-	var tasks [][]nodePair
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		tasks = append(tasks, part)
-		// The instance's input cursor is its task list; content is
-		// delivered via the factory closure, the cursor is positional.
-		cursors = append(cursors, storage.NewSliceCursor(nil, make([]storage.Row, len(part))))
-	}
-	if len(cursors) == 0 {
+	if len(fns) == 0 {
 		return storage.NewSliceCursor(nil, nil), nil
 	}
 	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
-		if instance < 0 || instance >= len(tasks) {
+		if instance < 0 || instance >= len(fns) {
 			return nil, fmt.Errorf("sjoin: no tasks for instance %d", instance)
-		}
-		jf, err := newJoinFn(a, b, cfg, tasks[instance])
-		if err != nil {
-			return nil, err
 		}
 		// All instances share cfg.Trace (stage aggregates are atomic),
 		// so one per-query trace sums the parallel instances' work.
-		return tablefunc.Traced(jf, cfg.Trace), nil
+		return tablefunc.Traced(fns[instance], cfg.Trace), nil
 	}
-	return tablefunc.Parallel(cursors, factory, cfg.FetchBatch), nil
+	return tablefunc.Parallel(placeholderCursors(len(fns)), factory, cfg.FetchBatch), nil
 }

@@ -43,16 +43,6 @@ const (
 	classBoth uint8 = classXStart | classYStart
 )
 
-// tileEntry is one copy of an input rectangle assigned to a tile. The
-// coordinates are the original (unexpanded) MBR — a distance join
-// expands the first side inline during the sweep, exactly as sweepPair
-// does, so assignment and sweep agree bit-for-bit.
-type tileEntry struct {
-	xlo, ylo, xhi, yhi float64
-	id                 storage.RowID
-	class              uint8
-}
-
 // Grid is the uniform partitioning of the joint extent.
 type Grid struct {
 	Bounds     geom.MBR
@@ -153,9 +143,12 @@ func GridShape(nA, nB, workers int) (cols, rows int) {
 
 // gridTile holds the two per-tile entry lists, in xlo order (the inputs
 // are sorted once globally before assignment, so appends preserve sweep
-// order and no per-tile sort is needed).
+// order and no per-tile sort is needed). Each entry copy keeps the
+// coordinates of the original (unexpanded) MBR — the kernel expands the
+// first side by the join distance inline, so assignment and sweep agree
+// bit-for-bit — and its idx into the grid's sorted item slice.
 type gridTile struct {
-	ra, rb []tileEntry
+	ra, rb []sweepEntry
 }
 
 // cost estimates a tile's sweep work for the longest-first queue order.
@@ -163,17 +156,16 @@ func (t *gridTile) cost() float64 {
 	return float64(len(t.ra)) * float64(len(t.rb))
 }
 
-// gridState is the shared state of one grid join: the tile queue in
-// longest-first order and the atomic claim cursor the parallel
-// instances steal tiles from. Per-tile sweep times land in tileNanos —
-// each tile is claimed by exactly one instance, so the writes are to
-// distinct indexes and race-free.
+// gridState is the shared state of one grid join: both inputs' items
+// in xlo order (tile entries index into them), the tile queue in
+// longest-first order, and the atomic claim cursor the parallel
+// instances steal tiles from.
 type gridState struct {
-	grid      Grid
-	d         float64 // join distance (first side expanded by it)
-	tiles     []gridTile
-	next      atomic.Int64
-	tileNanos []int64
+	grid           Grid
+	d              float64 // join distance (first side expanded by it)
+	itemsA, itemsB []rtree.Item
+	tiles          []gridTile
+	next           atomic.Int64
 }
 
 // claim steals the next unclaimed tile index, or -1 when the queue is
@@ -192,15 +184,15 @@ func (gs *gridState) claim() int {
 // assignment and class computation (the distance-join expansion of the
 // first side); the stored coordinates stay unexpanded.
 func assignGrid(dense []gridTile, g Grid, items []rtree.Item, expand float64, sideA bool) {
-	for _, it := range items {
+	for i, it := range items {
 		c0 := g.ColOf(it.MBR.MinX - expand)
 		c1 := g.ColOf(it.MBR.MaxX + expand)
 		r0 := g.RowOf(it.MBR.MinY - expand)
 		r1 := g.RowOf(it.MBR.MaxY + expand)
-		e := tileEntry{
+		e := sweepEntry{
 			xlo: it.MBR.MinX, ylo: it.MBR.MinY,
 			xhi: it.MBR.MaxX, yhi: it.MBR.MaxY,
-			id: it.ID,
+			idx: int32(i),
 		}
 		for r := r0; r <= r1; r++ {
 			base := r * g.Cols
@@ -267,7 +259,7 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 	dense := make([]gridTile, g.Tiles())
 	assignGrid(dense, g, itemsA, d, true)
 	assignGrid(dense, g, itemsB, 0, false)
-	gs := &gridState{grid: g, d: d}
+	gs := &gridState{grid: g, d: d, itemsA: itemsA, itemsB: itemsB}
 	for i := range dense {
 		if len(dense[i].ra) == 0 || len(dense[i].rb) == 0 {
 			continue // a one-sided tile can produce no pairs
@@ -288,71 +280,7 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 			return 0
 		}
 	})
-	gs.tileNanos = make([]int64, len(gs.tiles))
 	return gs
-}
-
-// sweepTile runs the forward plane sweep of one tile, calling emit once
-// for every candidate pair the tile owns: x intervals (first side
-// expanded by the join distance) overlap, y intervals overlap, the
-// two classes OR to classBoth, and — for distance joins — the exact
-// rectangle distance is within d. Identical structure to sweepPair;
-// both lists are already in xlo order.
-func (gs *gridState) sweepTile(t *gridTile, emit func(a, b *tileEntry)) {
-	d := gs.d
-	ea, eb := t.ra, t.rb
-	i, k := 0, 0
-	for i < len(ea) && k < len(eb) {
-		if ea[i].xlo-d <= eb[k].xlo {
-			e := &ea[i]
-			xmax := e.xhi + d
-			ylo, yhi := e.ylo-d, e.yhi+d
-			for kk := k; kk < len(eb) && eb[kk].xlo <= xmax; kk++ {
-				o := &eb[kk]
-				if o.ylo > yhi || o.yhi < ylo {
-					continue
-				}
-				if e.class|o.class != classBoth {
-					continue
-				}
-				if d > 0 && !tileDistOK(e, o, d) {
-					continue
-				}
-				emit(e, o)
-			}
-			i++
-		} else {
-			e := &eb[k]
-			for ii := i; ii < len(ea) && ea[ii].xlo-d <= e.xhi; ii++ {
-				o := &ea[ii]
-				if o.ylo-d > e.yhi || o.yhi+d < e.ylo {
-					continue
-				}
-				if e.class|o.class != classBoth {
-					continue
-				}
-				if d > 0 && !tileDistOK(o, e, d) {
-					continue
-				}
-				emit(o, e)
-			}
-			k++
-		}
-	}
-}
-
-// tileDistOK is sweepDistOK on tile entries: exact rectangle distance
-// between the unexpanded MBRs (a is the first side) within d.
-func tileDistOK(a, b *tileEntry, d float64) bool {
-	dx := math.Max(0, math.Max(b.xlo-a.xhi, a.xlo-b.xhi))
-	dy := math.Max(0, math.Max(b.ylo-a.yhi, a.ylo-b.yhi))
-	if dx == 0 {
-		return dy <= d
-	}
-	if dy == 0 {
-		return dx <= d
-	}
-	return math.Hypot(dx, dy) <= d
 }
 
 // GridJoinFunction is one parallel instance of the grid join: it steals
@@ -399,16 +327,7 @@ func (g *GridJoinFunction) Fetch(max int) ([]storage.Row, error) {
 			if ti < 0 {
 				break
 			}
-			//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per tile sweep not per row
-			end := j.span(telemetry.StageTileSweep)
-			t0 := time.Now()
-			g.gs.sweepTile(&g.gs.tiles[ti], func(a, b *tileEntry) {
-				j.cands = append(j.cands, Pair{A: a.id, B: b.id})
-				j.stats.Candidates++
-			})
-			g.gs.tileNanos[ti] = int64(time.Since(t0))
-			end()
-			j.stats.TilesSwept++
+			g.fillTile(ti)
 		}
 		if len(j.cands) == 0 {
 			break // queue exhausted and nothing pending: done
@@ -421,11 +340,43 @@ func (g *GridJoinFunction) Fetch(max int) ([]storage.Row, error) {
 	return out, nil
 }
 
+// fillTile sweeps tile ti into the candidate array: every pair the tile
+// owns becomes one candidate. It is the per-tile step Fetch and
+// SimulateGridJoin share.
+func (g *GridJoinFunction) fillTile(ti int) {
+	j, gs := g.j, g.gs
+	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per tile sweep not per row
+	end := j.span(telemetry.StageTileSweep)
+	t := &gs.tiles[ti]
+	n := len(j.cands)
+	sweep(t.ra, t.rb, gs.d, func(ai, bi int) {
+		j.cands = append(j.cands, Pair{A: gs.itemsA[ai].ID, B: gs.itemsB[bi].ID})
+	})
+	j.stats.Candidates += len(j.cands) - n
+	end()
+	j.stats.TilesSwept++
+}
+
 // Close implements TableFunction.
 func (g *GridJoinFunction) Close() error { return g.j.Close() }
 
 // Stats returns the instance's accumulated work counters.
 func (g *GridJoinFunction) Stats() JoinStats { return g.j.Stats() }
+
+// gridSetup is the setup GridParallelJoin and SimulateGridJoin share:
+// the parallel-instance preparation, then the grid build and
+// classification (timed as the grid-partition stage). gs is nil when
+// either side is empty.
+func gridSetup(a, b Source, cfg Config, workers int) (Config, *gridState, int, error) {
+	cfg, workers, err := prepareInstances(a, b, cfg, workers)
+	if err != nil {
+		return cfg, nil, 0, err
+	}
+	endPart := stageSpan(cfg.Instr, cfg.Trace, telemetry.StageGridPartition)
+	gs := buildGridState(a, b, cfg, workers)
+	endPart()
+	return cfg, gs, workers, nil
+}
 
 // GridParallelJoin evaluates the spatial join on the grid-partitioned
 // parallel path: build and classify the grid once, then run `workers`
@@ -433,31 +384,15 @@ func (g *GridJoinFunction) Stats() JoinStats { return g.j.Stats() }
 // cursor merges the instances' pipelined outputs (order unspecified);
 // the result-pair set is identical to the other join paths.
 func GridParallelJoin(a, b Source, cfg Config, workers int) (storage.Cursor, error) {
-	cfg = cfg.withDefaults()
-	// One shared decoded-geometry cache across instances, as in
-	// ParallelIndexJoin.
-	cfg.GeomCache = cfg.resolveCache()
-	workers = normWorkers(workers)
-	if _, err := a.geomColumn(); err != nil {
+	cfg, gs, workers, err := gridSetup(a, b, cfg, workers)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := b.geomColumn(); err != nil {
-		return nil, err
-	}
-	endPart := stageSpan(cfg.Instr, cfg.Trace, telemetry.StageGridPartition)
-	gs := buildGridState(a, b, cfg, workers)
-	endPart()
 	if gs == nil || len(gs.tiles) == 0 {
 		return storage.NewSliceCursor(nil, nil), nil
 	}
 	if workers > len(gs.tiles) {
 		workers = len(gs.tiles)
-	}
-	cursors := make([]storage.Cursor, workers)
-	for i := range cursors {
-		// The instances' input "partition" is the shared tile queue;
-		// the per-instance cursors are positional placeholders.
-		cursors[i] = storage.NewSliceCursor(nil, nil)
 	}
 	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
 		fn, err := newGridJoinFn(a, b, cfg, gs)
@@ -466,7 +401,9 @@ func GridParallelJoin(a, b Source, cfg Config, workers int) (storage.Cursor, err
 		}
 		return tablefunc.Traced(fn, cfg.Trace), nil
 	}
-	return tablefunc.Parallel(cursors, factory, cfg.FetchBatch), nil
+	// The instances' input "partition" is the shared tile queue; the
+	// per-instance cursors are positional placeholders.
+	return tablefunc.Parallel(placeholderCursors(workers), factory, cfg.FetchBatch), nil
 }
 
 // GridSimResult reports a simulated grid-parallel run (see simulate.go
@@ -511,40 +448,28 @@ func (r GridSimResult) TileSkew() (max, mean time.Duration) {
 }
 
 // SimulateGridJoin runs the grid join under the deterministic
-// multi-processor simulator: each tile's full cost (sweep + secondary
-// drain) is measured serially, then the longest-first tile queue is
-// greedily list-scheduled onto `workers` virtual processors — the
+// multi-processor simulator: one real instance over the same setup as
+// GridParallelJoin takes the tiles serially in queue order, each tile's
+// full cost (sweep + secondary drain) is measured, and the longest-first
+// tile queue is list-scheduled onto `workers` virtual processors — the
 // assignment dynamic dealing converges to. Results are identical to
 // GridParallelJoin.
 func SimulateGridJoin(a, b Source, cfg Config, workers int) (GridSimResult, error) {
-	cfg = cfg.withDefaults()
-	cfg.GeomCache = cfg.resolveCache()
-	workers = normWorkers(workers)
-	if _, err := a.geomColumn(); err != nil {
+	cfg, gs, workers, err := gridSetup(a, b, cfg, workers)
+	if err != nil || gs == nil {
 		return GridSimResult{}, err
-	}
-	if _, err := b.geomColumn(); err != nil {
-		return GridSimResult{}, err
-	}
-	gs := buildGridState(a, b, cfg, workers)
-	if gs == nil {
-		return GridSimResult{}, nil
 	}
 	fn, err := newGridJoinFn(a, b, cfg, gs)
 	if err != nil {
 		return GridSimResult{}, err
 	}
+	defer fn.Close()
 	j := fn.j
 	res := GridSimResult{Grid: gs.grid}
 	for ti := range gs.tiles {
 		t0 := time.Now()
-		gs.sweepTile(&gs.tiles[ti], func(a, b *tileEntry) {
-			j.cands = append(j.cands, Pair{A: a.id, B: b.id})
-			j.stats.Candidates++
-		})
-		j.stats.TilesSwept++
+		fn.fillTile(ti)
 		if err := j.secondaryFilter(); err != nil {
-			j.Close()
 			return GridSimResult{}, err
 		}
 		res.TileTimes = append(res.TileTimes, time.Since(t0))
@@ -552,25 +477,6 @@ func SimulateGridJoin(a, b Source, cfg Config, workers int) (GridSimResult, erro
 		j.ready = j.ready[:0]
 	}
 	res.Stats = j.Stats()
-	j.Close()
-	// Greedy list schedule in queue order: each tile goes to the least
-	// loaded virtual processor, exactly what claiming off the shared
-	// cursor achieves when instances claim as they free up.
-	loads := make([]time.Duration, workers)
-	for _, d := range res.TileTimes {
-		w := 0
-		for i := 1; i < workers; i++ {
-			if loads[i] < loads[w] {
-				w = i
-			}
-		}
-		loads[w] += d
-	}
-	res.InstanceTimes = loads
-	for _, l := range loads {
-		if l > res.Elapsed {
-			res.Elapsed = l
-		}
-	}
+	res.InstanceTimes, res.Elapsed = listSchedule(res.TileTimes, workers)
 	return res, nil
 }

@@ -155,8 +155,8 @@ func TestGridClassesEmitEachPairOnce(t *testing.T) {
 				}
 			}
 		}
-		gs.sweepTile(tl, func(a, b *tileEntry) {
-			counts[Pair{A: a.id, B: b.id}]++
+		sweep(tl.ra, tl.rb, gs.d, func(ai, bi int) {
+			counts[Pair{A: gs.itemsA[ai].ID, B: gs.itemsB[bi].ID}]++
 		})
 	}
 	if raw <= len(counts) {

@@ -2,7 +2,6 @@ package sjoin
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -77,14 +76,6 @@ type JoinFunction struct {
 // nodePair is one unit of synchronized traversal.
 type nodePair struct {
 	a, b rtree.NodeRef
-}
-
-// sweepEntry is one node slot in plane-sweep order: its rectangle plus
-// the slot index it came from (to recover rowids/children after the
-// sort permutes the list).
-type sweepEntry struct {
-	xlo, xhi, ylo, yhi float64
-	idx                int32
 }
 
 // JoinStats counts the work a join did; benches report them.
@@ -222,10 +213,9 @@ func (j *JoinFunction) Stats() JoinStats { return j.stats }
 
 // fillCandidates runs the synchronized R-tree traversal until the
 // candidate array reaches capacity or the stack empties — the primary
-// (index MBR) filter. Equal-height node pairs are intersected either by
-// a forward plane sweep over xlo-sorted entry lists (default, O(n log n
-// + output) instead of the O(n·m) nested scan) or by the nested scan
-// when the pair is small or Config.NestedPrimaryFilter is set.
+// (index MBR) filter. Equal-height node pairs are intersected by
+// entryPairs; leaf pairs feed the candidate array, inner pairs the
+// stack.
 func (j *JoinFunction) fillCandidates() {
 	for len(j.stack) > 0 && len(j.cands) < j.cfg.CandidateCap {
 		top := j.stack[len(j.stack)-1]
@@ -236,34 +226,12 @@ func (j *JoinFunction) fillCandidates() {
 		fastAccept := j.cfg.UseInteriorApprox && j.cfg.Distance == 0 && j.cfg.Mask == geom.MaskAnyInteract
 		switch {
 		case a.IsLeaf() && b.IsLeaf():
-			if j.useSweep(a, b) {
-				j.sweepPair(a, b, func(ai, bi int) { j.emitLeafPair(a, b, ai, bi, fastAccept) })
-			} else {
-				for i := 0; i < a.NumEntries(); i++ {
-					ma := a.EntryMBR(i)
-					for k := 0; k < b.NumEntries(); k++ {
-						if j.cfg.primaryAccepts(ma, b.EntryMBR(k)) {
-							j.emitLeafPair(a, b, i, k, fastAccept)
-						}
-					}
-				}
-			}
+			j.entryPairs(a, b, func(ai, bi int) { j.emitLeafPair(a, b, ai, bi, fastAccept) })
 		case !a.IsLeaf() && !b.IsLeaf():
 			// Descend both sides, pairing children whose MBRs interact.
-			if j.useSweep(a, b) {
-				j.sweepPair(a, b, func(ai, bi int) {
-					j.stack = append(j.stack, nodePair{a.Child(ai), b.Child(bi)})
-				})
-			} else {
-				for i := 0; i < a.NumEntries(); i++ {
-					ma := a.EntryMBR(i)
-					for k := 0; k < b.NumEntries(); k++ {
-						if j.cfg.primaryAccepts(ma, b.EntryMBR(k)) {
-							j.stack = append(j.stack, nodePair{a.Child(i), b.Child(k)})
-						}
-					}
-				}
-			}
+			j.entryPairs(a, b, func(ai, bi int) {
+				j.stack = append(j.stack, nodePair{a.Child(ai), b.Child(bi)})
+			})
 		case a.IsLeaf():
 			// Unequal heights: descend only the taller (b) side.
 			for k := 0; k < b.NumEntries(); k++ {
@@ -276,6 +244,29 @@ func (j *JoinFunction) fillCandidates() {
 				if j.cfg.primaryAccepts(a.EntryMBR(i), b.MBR()) {
 					j.stack = append(j.stack, nodePair{a.Child(i), b})
 				}
+			}
+		}
+	}
+}
+
+// entryPairs calls emit(ai, bi) for every entry pair of the equal-height
+// nodes a and b that survives the primary filter: by the plane-sweep
+// kernel over xlo-sorted entry lists (default, O(n log n + output)), or
+// by the O(n·m) nested scan when the pair is below
+// Config.SweepThreshold or Config.NestedPrimaryFilter is set. Both
+// produce the same pair set in a different order.
+func (j *JoinFunction) entryPairs(a, b rtree.NodeRef, emit func(ai, bi int)) {
+	if !j.cfg.NestedPrimaryFilter && a.NumEntries()+b.NumEntries() >= j.cfg.SweepThreshold {
+		j.sweepA = fillSweep(j.sweepA, a)
+		j.sweepB = fillSweep(j.sweepB, b)
+		sweep(j.sweepA, j.sweepB, j.cfg.Distance, emit)
+		return
+	}
+	for i := 0; i < a.NumEntries(); i++ {
+		ma := a.EntryMBR(i)
+		for k := 0; k < b.NumEntries(); k++ {
+			if j.cfg.primaryAccepts(ma, b.EntryMBR(k)) {
+				emit(i, k)
 			}
 		}
 	}
@@ -303,104 +294,6 @@ func (j *JoinFunction) emitLeafPair(a, b rtree.NodeRef, ai, bi int, fastAccept b
 	}
 	j.cands = append(j.cands, Pair{A: a.EntryID(ai), B: b.EntryID(bi)})
 	j.stats.Candidates++
-}
-
-// useSweep decides the intersection algorithm for an equal-height node
-// pair: plane sweep unless disabled or the pair is too small to
-// amortise the two sorts.
-func (j *JoinFunction) useSweep(a, b rtree.NodeRef) bool {
-	if j.cfg.NestedPrimaryFilter {
-		return false
-	}
-	return a.NumEntries()+b.NumEntries() >= j.cfg.SweepThreshold
-}
-
-// sweepPair runs a forward plane sweep over the entries of nodes a and
-// b, calling emit(ai, bi) once for every entry pair accepted by the
-// primary filter — the same pair set, in a different order, as the
-// nested scan. Both entry lists are copied into the reusable scratch
-// slices and sorted on low x; the sweep then advances through the two
-// lists in xlo order, and for each entry scans forward in the other
-// list while x intervals (expanded by the join distance) overlap,
-// checking y overlap per pair. For distance joins the x/y interval
-// tests are necessary but not sufficient (corner-to-corner distance
-// exceeds either axis gap), so survivors take the exact MBR-distance
-// check before emission.
-func (j *JoinFunction) sweepPair(a, b rtree.NodeRef, emit func(ai, bi int)) {
-	j.sweepA = fillSweep(j.sweepA, a)
-	j.sweepB = fillSweep(j.sweepB, b)
-	d := j.cfg.Distance
-	ea, eb := j.sweepA, j.sweepB
-	i, k := 0, 0
-	for i < len(ea) && k < len(eb) {
-		if ea[i].xlo <= eb[k].xlo {
-			e := ea[i]
-			xmax := e.xhi + d
-			ylo, yhi := e.ylo-d, e.yhi+d
-			for kk := k; kk < len(eb) && eb[kk].xlo <= xmax; kk++ {
-				o := eb[kk]
-				if o.ylo > yhi || o.yhi < ylo {
-					continue
-				}
-				if d > 0 && !sweepDistOK(e, o, d) {
-					continue
-				}
-				emit(int(e.idx), int(o.idx))
-			}
-			i++
-		} else {
-			e := eb[k]
-			xmax := e.xhi + d
-			ylo, yhi := e.ylo-d, e.yhi+d
-			for ii := i; ii < len(ea) && ea[ii].xlo <= xmax; ii++ {
-				o := ea[ii]
-				if o.ylo > yhi || o.yhi < ylo {
-					continue
-				}
-				if d > 0 && !sweepDistOK(o, e, d) {
-					continue
-				}
-				emit(int(o.idx), int(e.idx))
-			}
-			k++
-		}
-	}
-}
-
-// fillSweep copies a node's structure-of-arrays rectangles into the
-// scratch list and sorts it by low x for the sweep.
-func fillSweep(dst []sweepEntry, r rtree.NodeRef) []sweepEntry {
-	xlo, ylo, xhi, yhi := r.EntryRects()
-	dst = dst[:0]
-	for i := range xlo {
-		dst = append(dst, sweepEntry{xlo: xlo[i], xhi: xhi[i], ylo: ylo[i], yhi: yhi[i], idx: int32(i)})
-	}
-	slices.SortFunc(dst, func(a, b sweepEntry) int {
-		switch {
-		case a.xlo < b.xlo:
-			return -1
-		case a.xlo > b.xlo:
-			return 1
-		default:
-			return 0
-		}
-	})
-	return dst
-}
-
-// sweepDistOK is the exact distance-join acceptance on sweep entries:
-// the rectangle distance (diagonal across both axis gaps, matching
-// geom.MBR.Dist) is within d.
-func sweepDistOK(a, b sweepEntry, d float64) bool {
-	dx := math.Max(0, math.Max(b.xlo-a.xhi, a.xlo-b.xhi))
-	dy := math.Max(0, math.Max(b.ylo-a.yhi, a.ylo-b.yhi))
-	if dx == 0 {
-		return dy <= d
-	}
-	if dy == 0 {
-		return dx <= d
-	}
-	return math.Hypot(dx, dy) <= d
 }
 
 // secondaryFilter drains the candidate array: fetch exact geometries and

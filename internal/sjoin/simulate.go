@@ -2,6 +2,8 @@ package sjoin
 
 import (
 	"time"
+
+	"spatialtf/internal/tablefunc"
 )
 
 // This file provides a deterministic multi-processor simulator for the
@@ -29,62 +31,51 @@ type SimResult struct {
 }
 
 // SimulateParallelIndexJoin runs the §4.1 parallel join under the
-// multi-processor simulator with the given degree of parallelism.
+// multi-processor simulator with the given degree of parallelism: the
+// instances ParallelIndexJoin would start are built by the same setup,
+// then each is driven to completion serially through its pipelined
+// cursor and timed in isolation.
 func SimulateParallelIndexJoin(a, b Source, cfg Config, workers int) (SimResult, error) {
-	cfg = cfg.withDefaults()
-	// One cache across the simulated instances, matching the shared
-	// cache of the goroutine-parallel execution.
-	cfg.GeomCache = cfg.resolveCache()
-	workers = normWorkers(workers)
-	if _, err := a.geomColumn(); err != nil {
+	fns, workers, err := subtreeInstances(a, b, cfg, workers)
+	if err != nil {
 		return SimResult{}, err
 	}
-	if _, err := b.geomColumn(); err != nil {
-		return SimResult{}, err
-	}
-	pairs := SubtreePairsForWorkers(a.Tree, b.Tree, workers, cfg)
-	parts := dealPairs(pairs, workers)
 	var res SimResult
-	for _, part := range parts {
-		if len(part) == 0 {
-			res.InstanceTimes = append(res.InstanceTimes, 0)
-			continue
-		}
-		fn, err := newJoinFn(a, b, cfg, part)
+	times := make([]time.Duration, 0, len(fns))
+	for _, fn := range fns {
+		t0 := time.Now()
+		pairs, err := CollectPairs(tablefunc.Pipeline(fn, fn.cfg.FetchBatch))
 		if err != nil {
 			return SimResult{}, err
 		}
-		t0 := time.Now()
-		if err := fn.Start(); err != nil {
-			fn.Close()
-			return SimResult{}, err
-		}
-		for {
-			rows, err := fn.Fetch(1024)
-			if err != nil {
-				fn.Close()
-				return SimResult{}, err
-			}
-			if len(rows) == 0 {
-				break
-			}
-			for _, row := range rows {
-				p, err := PairFromRow(row)
-				if err != nil {
-					fn.Close()
-					return SimResult{}, err
-				}
-				res.Pairs = append(res.Pairs, p)
-			}
-		}
-		fn.Close()
-		d := time.Since(t0)
-		res.InstanceTimes = append(res.InstanceTimes, d)
-		if d > res.Elapsed {
-			res.Elapsed = d
-		}
-		s := fn.Stats()
-		res.Stats.add(s)
+		times = append(times, time.Since(t0))
+		res.Pairs = append(res.Pairs, pairs...)
+		res.Stats.add(fn.Stats())
 	}
+	res.InstanceTimes, res.Elapsed = listSchedule(times, workers)
 	return res, nil
+}
+
+// listSchedule assigns task times, in order, greedily to the least
+// loaded of `workers` virtual processors (ties to the lowest index) and
+// returns the processors' busy times and the makespan (their max). With
+// at most `workers` tasks every task gets its own processor — the static
+// partitions of the subtree path; with more it is the schedule the grid
+// path's dynamic tile dealing produces.
+func listSchedule(times []time.Duration, workers int) ([]time.Duration, time.Duration) {
+	loads := make([]time.Duration, workers)
+	for _, d := range times {
+		w := 0
+		for i := 1; i < workers; i++ {
+			if loads[i] < loads[w] {
+				w = i
+			}
+		}
+		loads[w] += d
+	}
+	var makespan time.Duration
+	for _, l := range loads {
+		makespan = max(makespan, l)
+	}
+	return loads, makespan
 }

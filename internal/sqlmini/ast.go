@@ -74,10 +74,11 @@ type SpatialJoinCall struct {
 	TableB, ColumnB string
 	Mask            string
 	Distance        float64
-	Parallel        int
-	// Algo is the optional 'algo=...' hint: "auto" engages the cost
-	// model, "nested"/"subtree"/"grid" force a join path. Empty keeps
-	// the default Parallel-driven dispatch.
+	// Parallel is the worker count the join is planned for (0 = every
+	// core).
+	Parallel int
+	// Algo is the optional 'algo=...' hint: "nested"/"subtree"/"grid"
+	// force a join path; empty or "auto" engages the cost model.
 	Algo string
 	// KeyA/KeyB are the optional 'keys=colA:colB' hint: the join then
 	// exposes key1/key2 columns carrying those user columns' values

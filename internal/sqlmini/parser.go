@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"spatialtf/internal/sjoin"
 )
 
 // Parse parses one SQL statement (without a trailing semicolon).
@@ -469,10 +471,11 @@ func buildJoinCall(args []string, parallel int) (*SpatialJoinCall, error) {
 				return nil, fmt.Errorf("sqlmini: duplicate 'algo=' hint")
 			}
 			call.Algo = strings.TrimPrefix(hint, "algo=")
-			switch call.Algo {
-			case "auto", "nested", "subtree", "grid":
-			default:
-				return nil, fmt.Errorf("sqlmini: unknown join algorithm %q (want auto, nested, subtree, or grid)", call.Algo)
+			if call.Algo == "" {
+				return nil, fmt.Errorf("sqlmini: empty 'algo=' hint")
+			}
+			if _, err := sjoin.ParseAlgo(call.Algo); err != nil {
+				return nil, fmt.Errorf("sqlmini: %w", err)
 			}
 		case strings.HasPrefix(hint, "keys="):
 			if call.KeyA != "" {

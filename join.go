@@ -24,16 +24,16 @@ type JoinOptions struct {
 	// Distance, when positive, makes it a within-distance join (the
 	// paper's Table 1 "specifying a distance").
 	Distance float64
-	// Parallel is the number of parallel table-function instances; 0 or
-	// 1 runs the single pipelined spatial_join of §4, >1 the subtree-
-	// decomposed parallel join of §4.1. Paths selected through Algo
-	// treat 0 as "use every core" (runtime.GOMAXPROCS).
+	// Parallel is the worker count the join planner plans for: the
+	// number of parallel table-function instances a parallel path runs
+	// (0 = every core, runtime.GOMAXPROCS). 1 keeps the join serial.
 	Parallel int
-	// Algo selects the join path. "" keeps the legacy Parallel-driven
-	// dispatch above; "auto" engages the cost model (cardinalities, MBR
-	// density, worker count); "nested", "subtree", and "grid" force a
-	// path — the ablation override. "grid" is the grid-partitioned
-	// parallel join: a uniform tile grid with two-layer A/B/C/D
+	// Algo selects the join path. "" and "auto" run the cost model
+	// (cardinalities, MBR density, worker count), which picks the
+	// nested loop for tiny inputs, the serial or subtree-parallel
+	// R-tree join of §4 / §4.1, or the grid-partitioned parallel join;
+	// "nested", "subtree", and "grid" force a path — the ablation
+	// override. "grid" is a uniform tile grid with two-layer A/B/C/D
 	// duplicate avoidance, a per-tile plane sweep, and dynamic dealing
 	// of tiles to the instances.
 	Algo string
@@ -48,13 +48,6 @@ type JoinOptions struct {
 	// on ANYINTERACT joins over indexes created with
 	// IndexOptions.InteriorEffort > 0.
 	UseInteriorApprox bool
-	// NestedPrimaryFilter forces the nested entry-pair scan in the
-	// primary filter instead of the default plane sweep (ablation
-	// switch).
-	NestedPrimaryFilter bool
-	// SweepThreshold is the minimum combined entry count of a node pair
-	// for the plane sweep to engage (0 = default).
-	SweepThreshold int
 	// GeomCacheBytes selects the decoded-geometry cache the secondary
 	// filter fetches through: 0 (default) shares the database-wide
 	// cache, > 0 gives this join a private cache of that byte size, and
@@ -84,8 +77,6 @@ func (o JoinOptions) config() (sjoin.Config, error) {
 	cfg.CandidateCap = o.CandidateCap
 	cfg.SortCandidates = !o.NoSortCandidates
 	cfg.UseInteriorApprox = o.UseInteriorApprox
-	cfg.NestedPrimaryFilter = o.NestedPrimaryFilter
-	cfg.SweepThreshold = o.SweepThreshold
 	cfg.GeomCacheBytes = o.GeomCacheBytes
 	return cfg, nil
 }
@@ -203,8 +194,8 @@ func (jc *JoinCursor) Collect() ([]Pair, error) {
 }
 
 // SpatialJoin evaluates the index-based spatial join of two R-tree-
-// indexed tables through the spatial_join table function, pipelined
-// (Parallel ≤ 1) or parallel over subtree pairs (Parallel > 1).
+// indexed tables through the spatial_join table function, on the path
+// the planner (or the Algo override) picks for Parallel workers.
 func (db *DB) SpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions) (*JoinCursor, error) {
 	cfg, err := db.joinConfig(opt)
 	if err != nil {
@@ -218,7 +209,7 @@ func (db *DB) SpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 	if err != nil {
 		return nil, err
 	}
-	algo, workers, err := resolveJoinAlgo(a, b, cfg, opt)
+	plan, err := resolveJoinAlgo(a, b, cfg, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -228,9 +219,9 @@ func (db *DB) SpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 	cfg.Trace = trace
 	unpin := pinTrees(a.Tree, b.Tree)
 	var cur storage.Cursor
-	switch algo {
+	switch plan.Algo {
 	case sjoin.AlgoGrid:
-		cur, err = sjoin.GridParallelJoin(a, b, cfg, workers)
+		cur, err = sjoin.GridParallelJoin(a, b, cfg, plan.Workers)
 	case sjoin.AlgoNested:
 		var pairs []Pair
 		pairs, err = sjoin.NestedLoop(a, b, cfg)
@@ -238,8 +229,8 @@ func (db *DB) SpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 			cur = sjoin.PairsCursor(pairs)
 		}
 	default: // AlgoSubtree: the paper's serial/parallel R-tree paths
-		if workers > 1 {
-			cur, err = sjoin.ParallelIndexJoin(a, b, cfg, workers)
+		if plan.Workers > 1 {
+			cur, err = sjoin.ParallelIndexJoin(a, b, cfg, plan.Workers)
 		} else {
 			cur, err = sjoin.IndexJoin(a, b, cfg)
 		}
@@ -262,31 +253,24 @@ func (db *DB) SpatialJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 	return &JoinCursor{cur: cur, unpin: unpin, trace: trace}, nil
 }
 
-// resolveJoinAlgo maps JoinOptions onto a concrete join path and worker
-// count. Algo == "" preserves the legacy dispatch (Parallel > 1 selects
-// the subtree-parallel path, else serial); "auto" runs the sjoin cost
-// model; anything else is a forced override. Paths chosen through Algo
-// resolve Parallel <= 0 to all cores.
-func resolveJoinAlgo(a, b sjoin.Source, cfg sjoin.Config, opt JoinOptions) (sjoin.Algo, int, error) {
-	if opt.Algo == "" {
-		if opt.Parallel > 1 {
-			return sjoin.AlgoSubtree, opt.Parallel, nil
-		}
-		return sjoin.AlgoSubtree, 1, nil
-	}
+// resolveJoinAlgo maps JoinOptions onto a concrete join plan: "" and
+// "auto" run the sjoin cost model for Parallel workers; anything else
+// is a forced override, with Parallel <= 0 resolved to all cores.
+func resolveJoinAlgo(a, b sjoin.Source, cfg sjoin.Config, opt JoinOptions) (sjoin.PlanChoice, error) {
 	algo, err := sjoin.ParseAlgo(opt.Algo)
 	if err != nil {
-		return 0, 0, fmt.Errorf("spatialtf: %w", err)
+		return sjoin.PlanChoice{}, fmt.Errorf("spatialtf: %w", err)
 	}
 	if algo == sjoin.AlgoAuto {
 		pc := sjoin.ChoosePlan(a, b, cfg, opt.Parallel)
-		return pc.Algo, pc.Workers, nil
+		pc.Reason = "cost model: " + pc.Reason
+		return pc, nil
 	}
 	workers := opt.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return algo, workers, nil
+	return sjoin.PlanChoice{Algo: algo, Workers: workers, Reason: fmt.Sprintf("hint %q", opt.Algo)}, nil
 }
 
 // ExplainJoin describes how a SpatialJoin with the given options would
@@ -319,15 +303,7 @@ func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 		tableB, indexB, b.Tree.Len(), b.Tree.Height(), b.Tree.MaxEntries())
 	fmt.Fprintf(&sb, "  two-stage evaluation: candidate array cap %d, secondary filter fetch order %s\n",
 		cfg.CandidateCap, map[bool]string{true: "sorted by first rowid", false: "arrival order"}[cfg.SortCandidates])
-	if cfg.NestedPrimaryFilter {
-		sb.WriteString("  primary filter: nested entry-pair scan\n")
-	} else {
-		thr := cfg.SweepThreshold
-		if thr <= 0 {
-			thr = sjoin.DefaultSweepThreshold
-		}
-		fmt.Fprintf(&sb, "  primary filter: plane sweep (node pairs with >= %d entries), nested scan below\n", thr)
-	}
+	fmt.Fprintf(&sb, "  primary filter: plane sweep (node pairs with >= %d entries), nested scan below\n", sjoin.DefaultSweepThreshold)
 	switch {
 	case cfg.GeomCache != nil:
 		sb.WriteString("  decoded-geometry cache: shared per-database\n")
@@ -339,18 +315,13 @@ func (db *DB) ExplainJoin(tableA, indexA, tableB, indexB string, opt JoinOptions
 	if cfg.UseInteriorApprox {
 		sb.WriteString("  interior-approximation fast accept: enabled\n")
 	}
-	algo, workers, err := resolveJoinAlgo(a, b, cfg, opt)
+	plan, err := resolveJoinAlgo(a, b, cfg, opt)
 	if err != nil {
 		return "", err
 	}
-	if opt.Algo != "" {
-		fmt.Fprintf(&sb, "  algorithm: %s (hint %q)\n", algo, opt.Algo)
-		if opt.Algo == "auto" {
-			pc := sjoin.ChoosePlan(a, b, cfg, opt.Parallel)
-			fmt.Fprintf(&sb, "  cost model: %s\n", pc.Reason)
-		}
-	}
-	switch algo {
+	fmt.Fprintf(&sb, "  algorithm: %s (%s)\n", plan.Algo, plan.Reason)
+	workers := plan.Workers
+	switch plan.Algo {
 	case sjoin.AlgoGrid:
 		cols, rows := sjoin.GridShape(a.Tree.Len(), b.Tree.Len(), workers)
 		fmt.Fprintf(&sb, "  strategy: GRID-PARTITIONED parallel table function, %d instances\n", workers)

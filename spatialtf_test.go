@@ -339,20 +339,20 @@ func TestExplainJoin(t *testing.T) {
 	if _, err := db.CreateIndex("si", "stars", RTree, IndexOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := db.ExplainJoin("stars", "si", "stars", "si", JoinOptions{})
+	plan, err := db.ExplainJoin("stars", "si", "stars", "si", JoinOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"SPATIAL JOIN (mask=ANYINTERACT)", "SERIAL pipelined", "sorted by first rowid", "2000 items"} {
+	for _, want := range []string{"SPATIAL JOIN (mask=ANYINTERACT)", "algorithm: subtree (cost model: single worker", "SERIAL pipelined", "sorted by first rowid", "2000 items"} {
 		if !containsStr(plan, want) {
 			t.Errorf("serial plan missing %q:\n%s", want, plan)
 		}
 	}
-	plan, err = db.ExplainJoin("stars", "si", "stars", "si", JoinOptions{Parallel: 4, Distance: 2})
+	plan, err = db.ExplainJoin("stars", "si", "stars", "si", JoinOptions{Parallel: 4, Distance: 2, Algo: "subtree"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"distance=2", "PARALLEL pipelined table function, 4 instances", "subtree-pair tasks scheduled"} {
+	for _, want := range []string{"distance=2", `algorithm: subtree (hint "subtree")`, "PARALLEL pipelined table function, 4 instances", "subtree-pair tasks scheduled"} {
 		if !containsStr(plan, want) {
 			t.Errorf("parallel plan missing %q:\n%s", want, plan)
 		}
