@@ -62,11 +62,14 @@ race-hot:
 
 # A few seconds of coverage-guided fuzzing per target: enough to catch
 # decoder regressions that panic or over-allocate on the seed corpus's
-# immediate neighbourhood. Long runs stay a manual `go test -fuzz` away.
+# immediate neighbourhood, and any verdict where the edge-pruned
+# geometry kernels part from the every-pair reference. Long runs stay a
+# manual `go test -fuzz` away.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzWireDecode -fuzztime 5s ./internal/wire
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 5s ./internal/sqlmini
 	$(GO) test -run NONE -fuzz FuzzWALDecode -fuzztime 5s ./internal/pager
+	$(GO) test -run NONE -fuzz FuzzIntersectsMatchesReference -fuzztime 5s ./internal/geom
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

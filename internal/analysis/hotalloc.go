@@ -7,9 +7,9 @@ package analysis
 //   - functions whose doc comment carries a //spatiallint:hot line, and
 //   - the seeded roots below — the per-row and per-frame loops this
 //     codebase lives on: the plane-sweep inner loops of the spatial
-//     join, the table-function Fetch batch loops, the R-tree node
-//     scans, the pager's pin and WAL-append paths, and the wire frame
-//     encoders.
+//     join, the exact-geometry kernels of its secondary filter, the
+//     table-function Fetch batch loops, the R-tree node scans, the
+//     pager's pin and WAL-append paths, and the wire frame encoders.
 //
 // Findings come in four shapes: a direct allocation site in the hot
 // function (from its AllocSites summary), a call to a module function
@@ -46,6 +46,12 @@ var hotSeeds = map[string][]string{
 		"JoinFunction.Fetch", "JoinFunction.fillCandidates", "JoinFunction.entryPairs", "sweep",
 		"JoinFunction.emitLeafPair", "JoinFunction.secondaryFilter", "JoinFunction.fetchGeom",
 		"GridJoinFunction.Fetch", "GridJoinFunction.fillTile", "assignGrid",
+	},
+	// The exact-geometry kernels every secondary filter, window and
+	// distance operator ends in: one call per candidate pair.
+	"internal/geom": {
+		"Intersects", "WithinDistance", "Distance", "partsWithin", "primWithin",
+		"polyPolyWithin", "chainsWithin", "primDist", "chainsDist",
 	},
 	"internal/tablefunc": {"pipelineCursor.Next", "parallelCursor.Next"},
 	"internal/rtree": {

@@ -113,10 +113,30 @@ func TestWithinDistance(t *testing.T) {
 // TestDistanceZeroIffIntersects is the central coupling invariant
 // between the distance evaluator and the intersection predicate.
 func TestDistanceZeroIffIntersects(t *testing.T) {
+	// Two triangles whose nearest edges are long and nearly collinear
+	// but 0.01426 apart; their MBRs are disjoint.
+	p, err := ParseWKT("POLYGON((0 0, 0.020528712314731454 0.014752286053650424, 0 0.0148, 0 0))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ParseWKT("POLYGON((0.03210651349075198 0.023072293278591064, " +
+		"95.31196290389693 68.49281724339058, -10 50, 0.03210651349075198 0.023072293278591064))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if WithinDistance(p, q, 0.01) {
+		t.Errorf("WithinDistance(0.01) = true for polygons %g apart", Distance(p, q))
+	}
+	if d := Distance(p, q); math.Abs(d-0.01426) > 1e-5 {
+		t.Errorf("near-collinear Distance = %g, want 0.01426", d)
+	}
+	pairs := [][2]Geometry{{p, q}}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 300; i++ {
-		a := randomRect(t, rng)
-		b := randomRect(t, rng)
+		pairs = append(pairs, [2]Geometry{randomRect(t, rng), randomRect(t, rng)})
+	}
+	for _, pair := range pairs {
+		a, b := pair[0], pair[1]
 		d := Distance(a, b)
 		inter := Intersects(a, b)
 		if (d == 0) != inter {

@@ -257,13 +257,23 @@ func (g Geometry) IsMulti() bool {
 	return false
 }
 
-// primitives appends the primitive members of g to dst and returns it.
-// For primitive kinds the result is g itself.
-func (g Geometry) primitives(dst []Geometry) []Geometry {
+// numParts returns the number of primitive parts of g: its members for
+// a collection, else one (g itself). With part it walks a geometry's
+// primitives without building a slice of them.
+func (g *Geometry) numParts() int {
 	if g.IsMulti() {
-		return append(dst, g.Elems...)
+		return len(g.Elems)
 	}
-	return append(dst, g)
+	return 1
+}
+
+// part returns the i-th primitive part of g (see numParts), by
+// pointer so the kernels pass shapes around without copying them.
+func (g *Geometry) part(i int) *Geometry {
+	if g.IsMulti() {
+		return &g.Elems[i]
+	}
+	return g
 }
 
 // NumVertices returns the total vertex count across all parts of g. It

@@ -144,35 +144,40 @@ func (m MBR) String() string {
 // MBROf returns the minimum bounding rectangle of g, or the empty
 // rectangle for an invalid geometry.
 func MBROf(g Geometry) MBR {
-	m := EmptyMBR()
-	grow := func(pts []Point) {
-		for _, p := range pts {
-			if p.X < m.MinX {
-				m.MinX = p.X
-			}
-			if p.X > m.MaxX {
-				m.MaxX = p.X
-			}
-			if p.Y < m.MinY {
-				m.MinY = p.Y
-			}
-			if p.Y > m.MaxY {
-				m.MaxY = p.Y
-			}
-		}
-	}
 	switch g.Kind {
 	case KindPoint, KindLineString:
-		grow(g.Pts)
+		return boxOf(g.Pts)
 	case KindPolygon:
 		// Holes lie inside the outer ring, so the outer ring determines
 		// the MBR.
 		if len(g.Rings) > 0 {
-			grow(g.Rings[0])
+			return boxOf(g.Rings[0])
 		}
+		return EmptyMBR()
 	default:
+		m := EmptyMBR()
 		for _, e := range g.Elems {
 			m = m.Union(MBROf(e))
+		}
+		return m
+	}
+}
+
+// boxOf returns the bounding rectangle of pts (empty for no points).
+func boxOf(pts []Point) MBR {
+	m := EmptyMBR()
+	for _, p := range pts {
+		if p.X < m.MinX {
+			m.MinX = p.X
+		}
+		if p.X > m.MaxX {
+			m.MaxX = p.X
+		}
+		if p.Y < m.MinY {
+			m.MinY = p.Y
+		}
+		if p.Y > m.MaxY {
+			m.MaxY = p.Y
 		}
 	}
 	return m

@@ -7,15 +7,19 @@ package geom
 
 // Intersects reports whether g and h share at least one point
 // (Oracle's ANYINTERACT relationship). Both geometries must be valid.
+// It allocates nothing.
 func Intersects(g, h Geometry) bool {
-	if !MBROf(g).Intersects(MBROf(h)) {
-		return false
-	}
-	gs := g.primitives(nil)
-	hs := h.primitives(nil)
-	for _, a := range gs {
-		for _, b := range hs {
-			if primIntersects(a, b) {
+	return MBROf(g).Intersects(MBROf(h)) && partsWithin(&g, &h, 0)
+}
+
+// partsWithin reports whether some primitive part of g comes within d
+// of some part of h (primWithin). Simple shapes are their own single
+// part, so no slice of parts is built.
+func partsWithin(g, h *Geometry, d float64) bool {
+	for i := range g.numParts() {
+		a := g.part(i)
+		for j := range h.numParts() {
+			if primWithin(a, h.part(j), d) {
 				return true
 			}
 		}
@@ -23,8 +27,26 @@ func Intersects(g, h Geometry) bool {
 	return false
 }
 
-// primIntersects dispatches the primitive × primitive intersection test.
-func primIntersects(a, b Geometry) bool {
+// anyPartPair reports whether f holds for some pair of primitive parts
+// of g and h.
+func anyPartPair(g, h Geometry, f func(a, b Geometry) bool) bool {
+	for i := range g.numParts() {
+		a := g.part(i)
+		for j := range h.numParts() {
+			if f(*a, *h.part(j)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// primWithin reports whether primitives a and b come within d of each
+// other. With d = 0 it is the primitive ANYINTERACT test; with d > 0
+// the per-part test of WithinDistance. Either way it returns at the
+// first witness: a vertex inside the other shape, or an edge pair that
+// touches (or lies within d).
+func primWithin(a, b *Geometry, d float64) bool {
 	// Normalise so a.Kind <= b.Kind in the dispatch order
 	// point < line < polygon.
 	if a.Kind > b.Kind {
@@ -32,111 +54,65 @@ func primIntersects(a, b Geometry) bool {
 	}
 	switch {
 	case a.Kind == KindPoint && b.Kind == KindPoint:
-		return a.Pts[0].Dist(b.Pts[0]) <= eps
+		return a.Pts[0].Dist(b.Pts[0]) <= max(eps, d)
 	case a.Kind == KindPoint && b.Kind == KindLineString:
-		return pointOnPath(a.Pts[0], b.Pts)
+		return pointWithinChain(a.Pts[0], b.Pts, false, d)
 	case a.Kind == KindPoint && b.Kind == KindPolygon:
-		return pointInPolygon(a.Pts[0], b) >= 0
+		if pointInPolygon(a.Pts[0], *b) >= 0 {
+			return true
+		}
+		if d > 0 {
+			for _, r := range b.Rings {
+				if pointWithinChain(a.Pts[0], r, true, d) {
+					return true
+				}
+			}
+		}
+		return false
 	case a.Kind == KindLineString && b.Kind == KindLineString:
-		return pathsIntersect(a.Pts, b.Pts)
+		return chainsWithin(a.Pts, false, b.Pts, false, d)
 	case a.Kind == KindLineString && b.Kind == KindPolygon:
-		return linePolyIntersects(a, b)
+		// Any vertex of the line inside/on the polygon?
+		for _, v := range a.Pts {
+			if pointInPolygon(v, *b) >= 0 {
+				return true
+			}
+		}
+		// Any edge meeting any ring? (Covers the case where the line
+		// passes through the polygon without a vertex inside, and the
+		// case where it only clips a hole boundary.)
+		for _, r := range b.Rings {
+			if chainsWithin(a.Pts, false, r, true, d) {
+				return true
+			}
+		}
+		return false
 	case a.Kind == KindPolygon && b.Kind == KindPolygon:
-		return polyPolyIntersects(a, b)
+		return polyPolyWithin(a, b, d)
 	default:
 		return false
 	}
 }
 
-// pointOnPath reports whether p lies on the polyline pts.
-func pointOnPath(p Point, pts []Point) bool {
-	found := false
-	pathEdges(pts, func(a, b Point) bool {
-		if orient(a, b, p) == 0 && onSegment(a, b, p) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// pathsIntersect reports whether two open polylines share a point.
-func pathsIntersect(p, q []Point) bool {
-	found := false
-	pathEdges(p, func(a, b Point) bool {
-		pathEdges(q, func(c, d Point) bool {
-			if segIntersects(a, b, c, d) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return !found
-	})
-	return found
-}
-
-// pathRingIntersect reports whether the open polyline pts intersects the
-// implicitly closed ring r.
-func pathRingIntersect(pts []Point, r []Point) bool {
-	found := false
-	pathEdges(pts, func(a, b Point) bool {
-		ringEdges(r, func(c, d Point) bool {
-			if segIntersects(a, b, c, d) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return !found
-	})
-	return found
-}
-
-// ringsIntersect reports whether two implicitly closed rings share a
-// boundary point.
-func ringsIntersect(r, s []Point) bool {
-	found := false
-	ringEdges(r, func(a, b Point) bool {
-		ringEdges(s, func(c, d Point) bool {
-			if segIntersects(a, b, c, d) {
-				found = true
-				return false
-			}
-			return true
-		})
-		return !found
-	})
-	return found
-}
-
-// linePolyIntersects reports whether line string l shares a point with
-// polygon p (boundary or interior).
-func linePolyIntersects(l, p Geometry) bool {
-	// Any vertex of the line inside/on the polygon?
-	for _, v := range l.Pts {
-		if pointInPolygon(v, p) >= 0 {
-			return true
-		}
-	}
-	// Any edge crossing any ring? (Covers the case where the line passes
-	// through the polygon without a vertex inside, and the case where it
-	// only clips a hole boundary.)
-	for _, r := range p.Rings {
-		if pathRingIntersect(l.Pts, r) {
+// pointWithinChain reports whether p lies on chain pts or (d > 0)
+// within d of one of its edges.
+func pointWithinChain(p Point, pts []Point, closed bool, d float64) bool {
+	for i := range edgeCount(pts, closed) {
+		a, b := edgeAt(pts, i)
+		if orient(a, b, p) == 0 && onSegment(a, b, p) || d > 0 && pointSegDist(p, a, b) <= d {
 			return true
 		}
 	}
 	return false
 }
 
-// polyPolyIntersects reports whether two polygons share a point.
-func polyPolyIntersects(p, q Geometry) bool {
-	// Boundary-boundary contact.
+// polyPolyWithin reports whether two polygons come within d of each
+// other (d = 0: share a point).
+func polyPolyWithin(p, q *Geometry, d float64) bool {
+	// Boundary-boundary contact (or an edge pair within d).
 	for _, r := range p.Rings {
 		for _, s := range q.Rings {
-			if ringsIntersect(r, s) {
+			if chainsWithin(r, true, s, true, d) {
 				return true
 			}
 		}
@@ -144,29 +120,14 @@ func polyPolyIntersects(p, q Geometry) bool {
 	// No boundary contact: either disjoint or one strictly inside the
 	// other. A single vertex test per direction decides it (holes are
 	// handled by pointInPolygon).
-	if pointInPolygon(p.Rings[0][0], q) > 0 {
-		return true
-	}
-	if pointInPolygon(q.Rings[0][0], p) > 0 {
-		return true
-	}
-	return false
+	return pointInPolygon(p.Rings[0][0], *q) > 0 || pointInPolygon(q.Rings[0][0], *p) > 0
 }
 
 // boundariesIntersect reports whether the boundaries of g and h share a
 // point. For points the boundary is the point itself; for lines the
 // polyline; for polygons all rings.
 func boundariesIntersect(g, h Geometry) bool {
-	gs := g.primitives(nil)
-	hs := h.primitives(nil)
-	for _, a := range gs {
-		for _, b := range hs {
-			if primBoundariesIntersect(a, b) {
-				return true
-			}
-		}
-	}
-	return false
+	return anyPartPair(g, h, primBoundariesIntersect)
 }
 
 func primBoundariesIntersect(a, b Geometry) bool {
@@ -177,14 +138,14 @@ func primBoundariesIntersect(a, b Geometry) bool {
 	case a.Kind == KindPoint && b.Kind == KindPoint:
 		return a.Pts[0].Dist(b.Pts[0]) <= eps
 	case a.Kind == KindPoint && b.Kind == KindLineString:
-		return pointOnPath(a.Pts[0], b.Pts)
+		return pointWithinChain(a.Pts[0], b.Pts, false, 0)
 	case a.Kind == KindPoint && b.Kind == KindPolygon:
 		return pointInPolygon(a.Pts[0], b) == 0
 	case a.Kind == KindLineString && b.Kind == KindLineString:
-		return pathsIntersect(a.Pts, b.Pts)
+		return chainsWithin(a.Pts, false, b.Pts, false, 0)
 	case a.Kind == KindLineString && b.Kind == KindPolygon:
 		for _, r := range b.Rings {
-			if pathRingIntersect(a.Pts, r) {
+			if chainsWithin(a.Pts, false, r, true, 0) {
 				return true
 			}
 		}
@@ -192,7 +153,7 @@ func primBoundariesIntersect(a, b Geometry) bool {
 	default: // polygon-polygon
 		for _, r := range a.Rings {
 			for _, s := range b.Rings {
-				if ringsIntersect(r, s) {
+				if chainsWithin(r, true, s, true, 0) {
 					return true
 				}
 			}
@@ -205,16 +166,7 @@ func primBoundariesIntersect(a, b Geometry) bool {
 // point. For a point the interior is the point; for a line the polyline
 // minus its two endpoints; for a polygon the open region.
 func interiorsIntersect(g, h Geometry) bool {
-	gs := g.primitives(nil)
-	hs := h.primitives(nil)
-	for _, a := range gs {
-		for _, b := range hs {
-			if primInteriorsIntersect(a, b) {
-				return true
-			}
-		}
-	}
-	return false
+	return anyPartPair(g, h, primInteriorsIntersect)
 }
 
 func primInteriorsIntersect(a, b Geometry) bool {
@@ -242,7 +194,7 @@ func primInteriorsIntersect(a, b Geometry) bool {
 // pointOnPathInterior reports whether p lies on pts excluding the two
 // polyline endpoints.
 func pointOnPathInterior(p Point, pts []Point) bool {
-	if !pointOnPath(p, pts) {
+	if !pointWithinChain(p, pts, false, 0) {
 		return false
 	}
 	return p.Dist(pts[0]) > eps && p.Dist(pts[len(pts)-1]) > eps
@@ -252,22 +204,11 @@ func pointOnPathInterior(p Point, pts []Point) bool {
 // point interior to both (any shared point that is not exclusively an
 // endpoint-endpoint touch).
 func lineInteriorsIntersect(p, q []Point) bool {
-	if !pathsIntersect(p, q) {
+	if !chainsWithin(p, false, q, false, 0) {
 		return false
 	}
 	// A proper segment crossing is always interior-interior.
-	cross := false
-	pathEdges(p, func(a, b Point) bool {
-		pathEdges(q, func(c, d Point) bool {
-			if segProperCross(a, b, c, d) {
-				cross = true
-				return false
-			}
-			return true
-		})
-		return !cross
-	})
-	if cross {
+	if chainsCross(p, false, q, false) {
 		return true
 	}
 	// Otherwise all contacts are touches/overlaps; check whether some
@@ -297,30 +238,26 @@ func lineInteriorInPolygonInterior(l, p Geometry) bool {
 	}
 	// Any edge properly crossing a ring means the line passes from
 	// outside to inside (or between interior regions).
-	crossed := false
-	pathEdges(l.Pts, func(a, b Point) bool {
-		for _, r := range p.Rings {
-			ringEdges(r, func(c, d Point) bool {
-				if segProperCross(a, b, c, d) {
-					crossed = true
-					return false
-				}
-				return true
-			})
-			if crossed {
-				return false
-			}
+	for _, r := range p.Rings {
+		if chainsCross(l.Pts, false, r, true) {
+			return true
 		}
-		// Edge midpoints catch the case of a segment whose endpoints
-		// both lie on the boundary but whose middle runs inside.
-		mid := Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2}
-		if pointInPolygon(mid, p) > 0 {
-			crossed = true
-			return false
+	}
+	// Edge midpoints catch the case of a segment whose endpoints both
+	// lie on the boundary but whose middle runs inside.
+	return anyMidpoint(l.Pts, false, p, 1)
+}
+
+// anyMidpoint reports whether the midpoint of some edge of chain pts
+// classifies as want against polygon p: 1 strictly inside, -1 outside.
+func anyMidpoint(pts []Point, closed bool, p Geometry, want int) bool {
+	for i := range edgeCount(pts, closed) {
+		a, b := edgeAt(pts, i)
+		if pointInPolygon(midpoint(a, b), p) == want {
+			return true
 		}
-		return true
-	})
-	return crossed
+	}
+	return false
 }
 
 // polyInteriorsIntersect reports whether the open interiors of two
@@ -329,18 +266,7 @@ func polyInteriorsIntersect(p, q Geometry) bool {
 	// A proper edge crossing forces interior overlap.
 	for _, r := range p.Rings {
 		for _, s := range q.Rings {
-			proper := false
-			ringEdges(r, func(a, b Point) bool {
-				ringEdges(s, func(c, d Point) bool {
-					if segProperCross(a, b, c, d) {
-						proper = true
-						return false
-					}
-					return true
-				})
-				return !proper
-			})
-			if proper {
+			if chainsCross(r, true, s, true) {
 				return true
 			}
 		}
@@ -364,23 +290,13 @@ func polyInteriorsIntersect(p, q Geometry) bool {
 	}
 	// Edge midpoints: handles equal polygons and containment with all
 	// vertices on the boundary.
-	mids := func(g Geometry) []Point {
-		var out []Point
-		for _, r := range g.Rings {
-			ringEdges(r, func(a, b Point) bool {
-				out = append(out, Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2})
-				return true
-			})
-		}
-		return out
-	}
-	for _, m := range mids(p) {
-		if pointInPolygon(m, q) > 0 {
+	for _, r := range p.Rings {
+		if anyMidpoint(r, true, q, 1) {
 			return true
 		}
 	}
-	for _, m := range mids(q) {
-		if pointInPolygon(m, p) > 0 {
+	for _, s := range q.Rings {
+		if anyMidpoint(s, true, p, 1) {
 			return true
 		}
 	}
@@ -395,9 +311,8 @@ func coveredBy(g, h Geometry) bool {
 	if !MBROf(h).Contains(MBROf(g)) {
 		return false
 	}
-	hs := h.primitives(nil)
-	for _, a := range g.primitives(nil) {
-		if !primCoveredByAny(a, hs) {
+	for i := range g.numParts() {
+		if !primCoveredByAny(*g.part(i), h) {
 			return false
 		}
 	}
@@ -405,14 +320,15 @@ func coveredBy(g, h Geometry) bool {
 }
 
 // primCoveredByAny reports whether primitive a is covered by the union
-// of the primitives hs. For simplicity (and matching how the synthetic
-// datasets are built) a must be covered by a single member; geometries
-// spanning multiple members of a multi-polygon are reported not covered,
-// which keeps the predicate conservative (sound for CONTAINS pruning in
-// joins, never claiming coverage that does not hold).
-func primCoveredByAny(a Geometry, hs []Geometry) bool {
-	for _, b := range hs {
-		if primCoveredBy(a, b) {
+// of the primitive parts of h. For simplicity (and matching how the
+// synthetic datasets are built) a must be covered by a single part;
+// geometries spanning multiple members of a multi-polygon are reported
+// not covered, which keeps the predicate conservative (sound for
+// CONTAINS pruning in joins, never claiming coverage that does not
+// hold).
+func primCoveredByAny(a Geometry, h Geometry) bool {
+	for j := range h.numParts() {
+		if primCoveredBy(a, *h.part(j)) {
 			return true
 		}
 	}
@@ -426,7 +342,7 @@ func primCoveredBy(a, b Geometry) bool {
 		case KindPoint:
 			return a.Pts[0].Dist(b.Pts[0]) <= eps
 		case KindLineString:
-			return pointOnPath(a.Pts[0], b.Pts)
+			return pointWithinChain(a.Pts[0], b.Pts, false, 0)
 		default:
 			return pointInPolygon(a.Pts[0], b) >= 0
 		}
@@ -459,50 +375,29 @@ func lineCoveredByPolygon(l, p Geometry) bool {
 	// No edge may properly cross a ring (that would exit the region),
 	// and edge midpoints must stay in the closed region (catches edges
 	// hopping across a concavity or a hole).
-	ok := true
-	pathEdges(l.Pts, func(a, b Point) bool {
-		for _, r := range p.Rings {
-			crossed := false
-			ringEdges(r, func(c, d Point) bool {
-				if segProperCross(a, b, c, d) {
-					crossed = true
-					return false
-				}
-				return true
-			})
-			if crossed {
-				ok = false
-				return false
-			}
-		}
-		mid := Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2}
-		if pointInPolygon(mid, p) < 0 {
-			ok = false
+	for _, r := range p.Rings {
+		if chainsCross(l.Pts, false, r, true) {
 			return false
 		}
-		return true
-	})
-	return ok
+	}
+	return !anyMidpoint(l.Pts, false, p, -1)
 }
 
 // lineCoveredByLine reports whether polyline a is a sub-path of
 // polyline b: every vertex of a on b and every edge midpoint of a on b.
 func lineCoveredByLine(a, b []Point) bool {
 	for _, v := range a {
-		if !pointOnPath(v, b) {
+		if !pointWithinChain(v, b, false, 0) {
 			return false
 		}
 	}
-	ok := true
-	pathEdges(a, func(p, q Point) bool {
-		mid := Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2}
-		if !pointOnPath(mid, b) {
-			ok = false
+	for i := range edgeCount(a, false) {
+		p, q := edgeAt(a, i)
+		if !pointWithinChain(midpoint(p, q), b, false, 0) {
 			return false
 		}
-		return true
-	})
-	return ok
+	}
+	return true
 }
 
 // polyCoveredByPoly reports whether polygon a lies entirely within the
@@ -519,34 +414,14 @@ func polyCoveredByPoly(a, b Geometry) bool {
 	// No proper boundary crossing.
 	for _, r := range a.Rings {
 		for _, s := range b.Rings {
-			proper := false
-			ringEdges(r, func(p, q Point) bool {
-				ringEdges(s, func(c, d Point) bool {
-					if segProperCross(p, q, c, d) {
-						proper = true
-						return false
-					}
-					return true
-				})
-				return !proper
-			})
-			if proper {
+			if chainsCross(r, true, s, true) {
 				return false
 			}
 		}
 	}
 	// Edge midpoints of a must remain in b (catches concavities).
 	for _, r := range a.Rings {
-		out := false
-		ringEdges(r, func(p, q Point) bool {
-			mid := Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2}
-			if pointInPolygon(mid, b) < 0 {
-				out = true
-				return false
-			}
-			return true
-		})
-		if out {
+		if anyMidpoint(r, true, b, -1) {
 			return false
 		}
 	}

@@ -17,6 +17,12 @@ func TestSegIntersects(t *testing.T) {
 		{"collinear overlap", Point{0, 0}, Point{2, 0}, Point{1, 0}, Point{3, 0}, true},
 		{"collinear disjoint", Point{0, 0}, Point{1, 0}, Point{2, 0}, Point{3, 0}, false},
 		{"near miss", Point{0, 0}, Point{1, 0}, Point{0, 0.001}, Point{1, 0.001}, false},
+		// A long segment nearly collinear with a short one 0.0143 away:
+		// orient's length-scaled tolerance calls all four triples
+		// collinear, so only the box guard keeps this apart.
+		{"near collinear apart",
+			Point{0, 0}, Point{0.020528712314731454, 0.014752286053650424},
+			Point{0.03210651349075198, 0.023072293278591064}, Point{95.31196290389693, 68.49281724339058}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -35,34 +35,41 @@ func orient(a, b, c Point) int {
 // onSegment reports whether point p lies on segment ab, assuming the
 // three points are already known to be collinear.
 func onSegment(a, b, p Point) bool {
-	return math.Min(a.X, b.X)-eps <= p.X && p.X <= math.Max(a.X, b.X)+eps &&
-		math.Min(a.Y, b.Y)-eps <= p.Y && p.Y <= math.Max(a.Y, b.Y)+eps
+	return min(a.X, b.X)-eps <= p.X && p.X <= max(a.X, b.X)+eps &&
+		min(a.Y, b.Y)-eps <= p.Y && p.Y <= max(a.Y, b.Y)+eps
 }
 
 // segIntersects reports whether segments ab and cd share at least one
 // point, including endpoint touches and collinear overlap.
+//
+// A box guard vetoes every "true": orient's tolerance grows with the
+// operand magnitudes, so without it two long, nearly collinear
+// segments that are plainly apart could both test "collinear" and pass
+// onSegment's slack. Segments whose boxes lie more than eps·(1+s)
+// apart, s = |b−a|₁ + |d−c|₁ + |c−a|₁ (a bound on every orient scale
+// below), cannot touch within any tolerance used here. The guard runs
+// only when the orientation tests say "touch", so the common miss does
+// not pay for it.
 func segIntersects(a, b, c, d Point) bool {
 	o1 := orient(a, b, c)
 	o2 := orient(a, b, d)
 	o3 := orient(c, d, a)
 	o4 := orient(c, d, b)
-	if o1 != o2 && o3 != o4 {
-		return true
-	}
-	// Collinear cases.
-	if o1 == 0 && onSegment(a, b, c) {
-		return true
-	}
-	if o2 == 0 && onSegment(a, b, d) {
-		return true
-	}
-	if o3 == 0 && onSegment(c, d, a) {
-		return true
-	}
-	if o4 == 0 && onSegment(c, d, b) {
-		return true
-	}
-	return false
+	touch := o1 != o2 && o3 != o4 ||
+		// Collinear cases.
+		o1 == 0 && onSegment(a, b, c) || o2 == 0 && onSegment(a, b, d) ||
+		o3 == 0 && onSegment(c, d, a) || o4 == 0 && onSegment(c, d, b)
+	return touch && !boxesApart(a, b, c, d)
+}
+
+// boxesApart is segIntersects' guard: it reports whether the boxes of
+// ab and cd lie more than eps·(1+s) apart.
+func boxesApart(a, b, c, d Point) bool {
+	s := math.Abs(b.X-a.X) + math.Abs(b.Y-a.Y) + math.Abs(d.X-c.X) + math.Abs(d.Y-c.Y) +
+		math.Abs(c.X-a.X) + math.Abs(c.Y-a.Y)
+	g := eps * (1 + s)
+	return min(c.X, d.X) > max(a.X, b.X)+g || max(c.X, d.X) < min(a.X, b.X)-g ||
+		min(c.Y, d.Y) > max(a.Y, b.Y)+g || max(c.Y, d.Y) < min(a.Y, b.Y)-g
 }
 
 // segProperCross reports whether ab and cd cross at a single interior
@@ -95,37 +102,107 @@ func pointSegDist(p, a, b Point) float64 {
 	}
 }
 
-// segSegDist returns the minimum distance between segments ab and cd
-// (zero if they intersect).
-func segSegDist(a, b, c, d Point) float64 {
-	if segIntersects(a, b, c, d) {
-		return 0
-	}
-	return math.Min(
-		math.Min(pointSegDist(a, c, d), pointSegDist(b, c, d)),
-		math.Min(pointSegDist(c, a, b), pointSegDist(d, a, b)),
+// endpointDist returns the least distance from an endpoint of either
+// segment to the other segment: the distance between ab and cd when
+// they do not intersect.
+func endpointDist(a, b, c, d Point) float64 {
+	return min(
+		min(pointSegDist(a, c, d), pointSegDist(b, c, d)),
+		min(pointSegDist(c, a, b), pointSegDist(d, a, b)),
 	)
 }
 
-// ringEdges calls fn for each edge of the implicitly closed ring r.
-// fn returning false stops the iteration early.
-func ringEdges(r []Point, fn func(a, b Point) bool) {
-	n := len(r)
-	for i := 0; i < n; i++ {
-		if !fn(r[i], r[(i+1)%n]) {
-			return
-		}
+// A chain is a vertex slice walked edge by edge: closed (a ring, whose
+// last vertex joins the first) or open (a path). Edge i of a ring is
+// (r[i], r[(i+1)%n]); edge i of a path is (p[i], p[i+1]).
+
+// edgeCount returns the number of edges of a chain of n vertices.
+func edgeCount(pts []Point, closed bool) int {
+	if closed {
+		return len(pts)
 	}
+	return len(pts) - 1
 }
 
-// pathEdges calls fn for each edge of the open polyline pts.
-func pathEdges(pts []Point, fn func(a, b Point) bool) {
-	for i := 1; i < len(pts); i++ {
-		if !fn(pts[i-1], pts[i]) {
-			return
+// edgeAt returns edge i of a chain; the last edge of a ring wraps to
+// its first vertex.
+func edgeAt(pts []Point, i int) (Point, Point) {
+	j := i + 1
+	if j == len(pts) {
+		j = 0
+	}
+	return pts[i], pts[j]
+}
+
+// pruneSlack is the extra margin an edge box is grown by before edge
+// pairs are skipped on box separation. For an edge of L1 length la and
+// a chain whose box has half-perimeter lq, two boxes more than this far
+// apart are also apart by more than segIntersects' guard eps·(1+s) —
+// s is at most 2(la+lq) plus twice the gap itself — with a factor of two
+// to spare for rounding, so skipping such pairs changes no verdict.
+func pruneSlack(la, lq float64) float64 {
+	return 4 * eps * (1 + la + lq)
+}
+
+// chainsWithin reports whether some edge of chain p and some edge of
+// chain q lie within d of each other: segIntersects holds, or (d > 0)
+// endpointDist ≤ d. With d = 0 it is the boundary-contact test of
+// ANYINTERACT; with d > 0 the edge test of WithinDistance, returning at
+// the first pair close enough.
+//
+// It decides exactly as testing every pair would, but skips the pairs
+// that cannot pass: the chain with more edges is the outer loop, each
+// outer edge's box is grown by d plus pruneSlack once, compared with q's
+// whole box, and then with each inner edge by four compares before any
+// orient call. It allocates nothing.
+func chainsWithin(p []Point, pClosed bool, q []Point, qClosed bool, d float64) bool {
+	n, m := edgeCount(p, pClosed), edgeCount(q, qClosed)
+	if m > n {
+		p, q, n, m = q, p, m, n
+	}
+	qb := boxOf(q)
+	lq := qb.Width() + qb.Height()
+	for i := 0; i < n; i++ {
+		a, b := edgeAt(p, i)
+		r := d + pruneSlack(math.Abs(b.X-a.X)+math.Abs(b.Y-a.Y), lq)
+		x0, x1 := min(a.X, b.X)-r, max(a.X, b.X)+r
+		y0, y1 := min(a.Y, b.Y)-r, max(a.Y, b.Y)+r
+		if qb.MinX > x1 || qb.MaxX < x0 || qb.MinY > y1 || qb.MaxY < y0 {
+			continue
+		}
+		for j := 0; j < m; j++ {
+			c, e := edgeAt(q, j)
+			if (c.X > x1 && e.X > x1) || (c.X < x0 && e.X < x0) ||
+				(c.Y > y1 && e.Y > y1) || (c.Y < y0 && e.Y < y0) {
+				continue
+			}
+			if segIntersects(a, b, c, e) || d > 0 && endpointDist(a, b, c, e) <= d {
+				return true
+			}
 		}
 	}
+	return false
 }
+
+// chainsCross reports whether some edge of chain p properly crosses
+// some edge of chain q (segProperCross). The relate masks use it to
+// tell interior contact from boundary contact.
+func chainsCross(p []Point, pClosed bool, q []Point, qClosed bool) bool {
+	n, m := edgeCount(p, pClosed), edgeCount(q, qClosed)
+	for i := 0; i < n; i++ {
+		a, b := edgeAt(p, i)
+		for j := 0; j < m; j++ {
+			c, d := edgeAt(q, j)
+			if segProperCross(a, b, c, d) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// midpoint returns the midpoint of segment ab.
+func midpoint(a, b Point) Point { return Point{(a.X + b.X) / 2, (a.Y + b.Y) / 2} }
 
 // pointInRing classifies p against the implicitly closed ring r:
 // +1 strictly inside, 0 on the boundary, -1 strictly outside.

@@ -335,7 +335,7 @@ func (j *JoinFunction) secondaryFilter() error {
 		if err != nil {
 			return err
 		}
-		//spatiallint:ignore hotalloc Relate visited-ring scratch only runs on the exact-mask predicate, bounded by parts per geometry
+		//spatiallint:ignore hotalloc only the EQUAL mask allocates (Geometry.Equal visited-ring scratch, bounded by parts per geometry); ANYINTERACT and WithinDistance do not
 		if j.cfg.secondaryAccepts(curGeom, gb) {
 			j.ready = append(j.ready, p)
 			j.stats.Results++

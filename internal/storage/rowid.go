@@ -9,6 +9,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 )
 
 // RowID addresses a row as (page, slot), matching the physical rowid
@@ -48,8 +49,15 @@ func (r RowID) Compare(o RowID) int {
 	}
 }
 
-// String renders the rowid in AAAA.BB page.slot form for logs.
-func (r RowID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
+// String renders the rowid in AAAA.BB page.slot form for logs and
+// result rows (sqlmini renders two per join row), without fmt.
+func (r RowID) String() string {
+	var buf [16]byte // "4294967295.65535" is the longest form
+	b := strconv.AppendUint(buf[:0], uint64(r.Page), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(r.Slot), 10)
+	return string(b)
+}
 
 // AppendTo appends the 6-byte big-endian encoding of r to dst. Big
 // endian keeps byte order consistent with Less, so encoded rowids can be
