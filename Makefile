@@ -85,7 +85,7 @@ bench:
 # shows up in CI output next to the hotalloc lint (see DESIGN.md §16).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x -count 1 ./...
-	$(GO) test -run NONE -bench 'Table2GridJoin|AblationGridTiles|AblationGridVsSubtree' -benchtime 2x -count 1 .
+	$(GO) test -run NONE -bench 'Table2GridJoin|AblationGridVsSubtree' -benchtime 2x -count 1 .
 	$(GO) test -run NONE -bench 'Table2IndexJoin$$|Table2GridJoin' -benchmem -benchtime 2x -count 1 .
 
 # End-to-end observability check: boot spatialserverd with -metrics-addr,

@@ -424,33 +424,7 @@ func BenchmarkAblationInteriorApprox(b *testing.B) {
 	}
 }
 
-// Ablation 7: primary-filter algorithm — forward plane sweep over
-// xlo-sorted entry lists (default) vs the nested entry-pair scan.
-// Node accesses are identical by construction (same traversal); the
-// sweep changes only the per-node-pair intersection cost.
-func BenchmarkAblationPrimaryFilter(b *testing.B) {
-	fixtures(b)
-	for _, nested := range []bool{false, true} {
-		b.Run(fmt.Sprintf("nested=%v", nested), func(b *testing.B) {
-			cfg := sjoin.DefaultConfig()
-			cfg.NestedPrimaryFilter = nested
-			for i := 0; i < b.N; i++ {
-				fn, err := sjoin.NewJoinFunction(fixStars, fixStars, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_, stats, err := sjoin.RunJoinFunction(fn, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(stats.NodeAccesses), "node-accesses")
-				b.ReportMetric(float64(stats.Candidates), "candidates")
-			}
-		})
-	}
-}
-
-// Ablation 8: decoded-geometry cache on (default size) vs off,
+// Ablation 7: decoded-geometry cache on (default size) vs off,
 // reporting the secondary filter's base-table fetch count and the
 // cache hit rate.
 func BenchmarkAblationGeomCache(b *testing.B) {
@@ -479,38 +453,7 @@ func BenchmarkAblationGeomCache(b *testing.B) {
 	}
 }
 
-// Ablation 9: grid tile count — the GridShape default vs coarser and
-// finer uniform grids on the star self-join at 4 workers. Fewer tiles
-// mean less per-entry replication but worse load balance (higher
-// tile-skew); more tiles amortise skew at higher partition cost.
-func BenchmarkAblationGridTiles(b *testing.B) {
-	fixtures(b)
-	for _, tiles := range []int{0, 16, 64, 256, 1024} {
-		name := fmt.Sprintf("tiles=%d", tiles)
-		if tiles == 0 {
-			name = "tiles=auto"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := sjoin.DefaultConfig()
-			cfg.GridTiles = tiles
-			for i := 0; i < b.N; i++ {
-				res, err := sjoin.SimulateGridJoin(fixStars, fixStars, cfg, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				max, mean := res.TileSkew()
-				b.ReportMetric(res.Elapsed.Seconds(), "sim-makespan-s")
-				b.ReportMetric(float64(len(res.TileTimes)), "tiles")
-				b.ReportMetric(float64(res.Stats.Candidates), "candidates")
-				if mean > 0 {
-					b.ReportMetric(float64(max)/float64(mean), "skew-ratio")
-				}
-			}
-		})
-	}
-}
-
-// Ablation 10: grid vs subtree-pair partitioning at 4 workers across
+// Ablation 8: grid vs subtree-pair partitioning at 4 workers across
 // the three datagen families — uniform polygons (counties), clustered
 // points (stars), and skewed polygons (block groups). This is the
 // spread the cost model in sjoin.ChoosePlan arbitrates.

@@ -44,8 +44,8 @@ var HotAlloc = &Analyzer{
 var hotSeeds = map[string][]string{
 	"internal/sjoin": {
 		"JoinFunction.Fetch", "JoinFunction.fillCandidates", "JoinFunction.entryPairs", "sweep",
-		"JoinFunction.emitLeafPair", "JoinFunction.secondaryFilter", "JoinFunction.fetchGeom",
-		"GridJoinFunction.Fetch", "GridJoinFunction.fillTile", "assignGrid",
+		"JoinFunction.emit", "JoinFunction.secondaryFilter", "JoinFunction.fetchGeom",
+		"JoinFunction.sweepTile", "assignGrid",
 	},
 	// The exact-geometry kernels every secondary filter, window and
 	// distance operator ends in: one call per candidate pair.

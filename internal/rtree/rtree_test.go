@@ -414,7 +414,7 @@ func TestNodeRefAccessors(t *testing.T) {
 		n = n.Child(0)
 	}
 	for i := 0; i < n.NumEntries(); i++ {
-		if !n.EntryID(i).IsValid() {
+		if !n.Item(i).ID.IsValid() {
 			t.Errorf("leaf entry %d has invalid rowid", i)
 		}
 	}

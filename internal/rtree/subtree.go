@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"spatialtf/internal/geom"
-	"spatialtf/internal/storage"
 )
 
 // NodeRef is a read-only handle on an R-tree node, the unit the
@@ -47,25 +46,22 @@ func (r NodeRef) EntryRects() (xlo, ylo, xhi, yhi []float64) {
 	return r.n.xlo, r.n.ylo, r.n.xhi, r.n.yhi
 }
 
-// EntryID returns the rowid in slot i; only meaningful on leaves.
-func (r NodeRef) EntryID(i int) storage.RowID { return r.n.ids[i] }
-
-// EntryInterior returns the interior approximation of slot i (only
-// meaningful on leaves; zero-area when the index was built without
-// interior approximations).
-func (r NodeRef) EntryInterior(i int) geom.MBR { return r.n.interiors[i] }
-
 // Child returns the handle of the i-th child; only meaningful on
 // internal nodes.
 func (r NodeRef) Child(i int) NodeRef {
 	return NodeRef{n: r.n.children[i], level: r.level - 1}
 }
 
+// Item returns slot i as a data item; only meaningful on leaves.
+func (r NodeRef) Item(i int) Item {
+	return Item{MBR: r.n.rect(i), Interior: r.n.interiors[i], ID: r.n.ids[i]}
+}
+
 // Items appends every data item under the node to dst and returns it.
 func (r NodeRef) Items(dst []Item) []Item {
 	if r.n.leaf {
 		for i := 0; i < r.n.count(); i++ {
-			dst = append(dst, Item{MBR: r.n.rect(i), Interior: r.n.interiors[i], ID: r.n.ids[i]})
+			dst = append(dst, r.Item(i))
 		}
 		return dst
 	}

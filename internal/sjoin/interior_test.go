@@ -1,6 +1,7 @@
 package sjoin
 
 import (
+	"fmt"
 	"testing"
 
 	"spatialtf/internal/datagen"
@@ -86,6 +87,24 @@ func TestInteriorJoinMatchesPlainJoin(t *testing.T) {
 	if !pairsEqual(got, want) {
 		t.Fatalf("interior join pair set differs from plain join")
 	}
+	// The grid path's tile sweeps emit through the same step, so it
+	// fast-accepts too, under the simulator and the parallel instances.
+	want = nestedPairs(t, withInt, withInt, cfg)
+	res, err := SimulateGridJoin(withInt, withInt, icfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.FastAccepts == 0 {
+		t.Errorf("grid path made no fast accepts on overlapping star data")
+	}
+	got = append(got[:0], res.Pairs...)
+	SortPairs(got)
+	if !pairsEqual(got, want) {
+		t.Fatalf("simulated interior grid join %d pairs, nested loop %d", len(got), len(want))
+	}
+	if got := gridPairs(t, withInt, withInt, icfg, 4); !pairsEqual(got, want) {
+		t.Fatalf("parallel interior grid join %d pairs, nested loop %d", len(got), len(want))
+	}
 }
 
 func TestInteriorFastAcceptDisabledCases(t *testing.T) {
@@ -142,32 +161,21 @@ func TestInteriorFastAcceptDisabledCases(t *testing.T) {
 func TestInteriorJoinCounties(t *testing.T) {
 	// Counties touch at boundaries; interiors never overlap across
 	// distinct counties, but self-pairs fast-accept (interior ∩ interior
-	// of the same polygon). The result set must match the plain join.
-	ds := datagen.Counties(49, 227)
-	src := buildInteriorSource(t, "counties_i", ds)
-	cfg := DefaultConfig()
-	icfg := cfg
-	icfg.UseInteriorApprox = true
-
-	cur, err := IndexJoin(src, src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := CollectPairs(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	icur, err := IndexJoin(src, src, icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectPairs(icur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SortPairs(want)
-	SortPairs(got)
-	if !pairsEqual(got, want) {
-		t.Fatalf("interior counties join %d pairs, plain %d", len(got), len(want))
+	// of the same polygon). The result set must match the plain join on
+	// the R-tree and the grid path. One county is the shape where a
+	// refill yields only fast accepts and no candidates: Fetch must
+	// still return them rather than report the end of the join.
+	for _, n := range []int{49, 1} {
+		src := buildInteriorSource(t, fmt.Sprintf("counties_i%d", n), datagen.Counties(n, 227))
+		cfg := DefaultConfig()
+		want := collect(t, src, src, cfg)
+		icfg := cfg
+		icfg.UseInteriorApprox = true
+		if got := collect(t, src, src, icfg); !pairsEqual(got, want) {
+			t.Errorf("%d counties: interior join %d pairs, plain %d", n, len(got), len(want))
+		}
+		if got := gridPairs(t, src, src, icfg, 2); !pairsEqual(got, want) {
+			t.Errorf("%d counties: interior grid join %d pairs, plain %d", n, len(got), len(want))
+		}
 	}
 }

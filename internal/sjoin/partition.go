@@ -243,14 +243,6 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 	d := cfg.Distance
 	bounds := a.Tree.Bounds().Expand(d).Union(b.Tree.Bounds())
 	cols, rows := GridShape(len(itemsA), len(itemsB), workers)
-	if cfg.GridTiles > 0 {
-		t := cfg.GridTiles
-		if t > gridMaxTiles {
-			t = gridMaxTiles
-		}
-		side := int(math.Ceil(math.Sqrt(float64(t))))
-		cols, rows = side, side
-	}
 	g := NewGrid(bounds, cols, rows)
 	slices.SortFunc(itemsA, byMinX)
 	if a.Tree != b.Tree {
@@ -283,85 +275,19 @@ func buildGridState(a, b Source, cfg Config, workers int) *gridState {
 	return gs
 }
 
-// GridJoinFunction is one parallel instance of the grid join: it steals
-// tiles from the shared state, sweeps each into the candidate array,
-// and reuses the JoinFunction secondary filter (sorted fetch, geometry
-// cache, exact predicate) unchanged.
-type GridJoinFunction struct {
-	j  *JoinFunction
-	gs *gridState
-}
-
-// newGridJoinFn builds one instance over the shared grid state.
-func newGridJoinFn(a, b Source, cfg Config, gs *gridState) (*GridJoinFunction, error) {
-	j, err := newJoinFn(a, b, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &GridJoinFunction{j: j, gs: gs}, nil
-}
-
-// Start implements TableFunction (the grid state is prebuilt and
-// shared, so instances start empty-handed).
-func (g *GridJoinFunction) Start() error { return nil }
-
-// Fetch implements TableFunction: drain verified results, then claim
-// and sweep tiles until the candidate array has a batch worth of work,
-// then drain it through the secondary filter.
-func (g *GridJoinFunction) Fetch(max int) ([]storage.Row, error) {
-	j := g.j
-	//spatiallint:ignore hotalloc per-batch output buffer, amortised over max rows
-	out := make([]storage.Row, 0, max)
-	var ar pairArena
-	//spatiallint:ignore hotalloc per-batch row slabs, two allocations amortised over max rows
-	ar.init(max)
-	for len(out) < max {
-		if len(j.ready) > 0 {
-			p := j.ready[0]
-			j.ready = j.ready[1:]
-			out = append(out, ar.row(p))
-			continue
-		}
-		for len(j.cands) < j.cfg.CandidateCap {
-			ti := g.gs.claim()
-			if ti < 0 {
-				break
-			}
-			g.fillTile(ti)
-		}
-		if len(j.cands) == 0 {
-			break // queue exhausted and nothing pending: done
-		}
-		if err := j.secondaryFilter(); err != nil {
-			return nil, err
-		}
-	}
-	j.flushStats()
-	return out, nil
-}
-
-// fillTile sweeps tile ti into the candidate array: every pair the tile
-// owns becomes one candidate. It is the per-tile step Fetch and
+// sweepTile sweeps tile ti of a grid instance's shared queue through
+// the emit step: every pair the tile owns becomes one candidate (or one
+// fast accept). It is the per-tile step fillCandidates and
 // SimulateGridJoin share.
-func (g *GridJoinFunction) fillTile(ti int) {
-	j, gs := g.j, g.gs
+func (j *JoinFunction) sweepTile(ti int) {
+	gs := j.grid
 	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per tile sweep not per row
 	end := j.span(telemetry.StageTileSweep)
 	t := &gs.tiles[ti]
-	n := len(j.cands)
-	sweep(t.ra, t.rb, gs.d, func(ai, bi int) {
-		j.cands = append(j.cands, Pair{A: gs.itemsA[ai].ID, B: gs.itemsB[bi].ID})
-	})
-	j.stats.Candidates += len(j.cands) - n
+	sweep(t.ra, t.rb, gs.d, func(ai, bi int) { j.emit(gs.itemsA[ai], gs.itemsB[bi]) })
 	end()
 	j.stats.TilesSwept++
 }
-
-// Close implements TableFunction.
-func (g *GridJoinFunction) Close() error { return g.j.Close() }
-
-// Stats returns the instance's accumulated work counters.
-func (g *GridJoinFunction) Stats() JoinStats { return g.j.Stats() }
 
 // gridSetup is the setup GridParallelJoin and SimulateGridJoin share:
 // the parallel-instance preparation, then the grid build and
@@ -395,10 +321,11 @@ func GridParallelJoin(a, b Source, cfg Config, workers int) (storage.Cursor, err
 		workers = len(gs.tiles)
 	}
 	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
-		fn, err := newGridJoinFn(a, b, cfg, gs)
+		fn, err := newJoinFn(a, b, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
+		fn.grid = gs // a grid instance claims tiles instead of node pairs
 		return tablefunc.Traced(fn, cfg.Trace), nil
 	}
 	// The instances' input "partition" is the shared tile queue; the
@@ -459,16 +386,16 @@ func SimulateGridJoin(a, b Source, cfg Config, workers int) (GridSimResult, erro
 	if err != nil || gs == nil {
 		return GridSimResult{}, err
 	}
-	fn, err := newGridJoinFn(a, b, cfg, gs)
+	j, err := newJoinFn(a, b, cfg, nil)
 	if err != nil {
 		return GridSimResult{}, err
 	}
-	defer fn.Close()
-	j := fn.j
+	j.grid = gs
+	defer j.Close()
 	res := GridSimResult{Grid: gs.grid}
 	for ti := range gs.tiles {
 		t0 := time.Now()
-		fn.fillTile(ti)
+		j.sweepTile(ti)
 		if err := j.secondaryFilter(); err != nil {
 			return GridSimResult{}, err
 		}

@@ -135,10 +135,10 @@ func TestGridJoinRace(t *testing.T) {
 func TestGridClassesEmitEachPairOnce(t *testing.T) {
 	src := buildSource(t, "c", datagen.Counties(400, 31))
 	cfg := DefaultConfig().withDefaults()
-	// Force many small tiles so rectangles straddle tile boundaries.
-	cfg.GridTiles = 256
-	gs := buildGridState(src, src, cfg, 4)
-	if gs == nil || len(gs.tiles) < 16 {
+	// Many small tiles, so rectangles straddle tile boundaries: 32
+	// workers ask GridShape for 256 tiles.
+	gs := buildGridState(src, src, cfg, 32)
+	if gs == nil || gs.grid.Tiles() != 256 || len(gs.tiles) < 16 {
 		t.Fatalf("grid state too small: %+v", gs)
 	}
 	counts := map[Pair]int{}

@@ -2,11 +2,10 @@ package sjoin
 
 import (
 	"fmt"
-	"slices"
 
-	"spatialtf/internal/geom"
 	"spatialtf/internal/quadtree"
 	"spatialtf/internal/storage"
+	"spatialtf/internal/telemetry"
 )
 
 // QuadtreeJoin is the extension join over two linear quadtree indexes
@@ -28,62 +27,37 @@ type QSource struct {
 // surfaces pairs sharing a tile, which is incomplete for a distance
 // predicate — use the R-tree join for those.
 func QuadtreeJoin(a, b QSource, cfg Config) ([]Pair, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Distance > 0 {
 		return nil, fmt.Errorf("sjoin: quadtree join does not support within-distance predicates")
 	}
-	sa := Source{Table: a.Table, Column: a.Column}
-	sb := Source{Table: b.Table, Column: b.Column}
-	colA, err := sa.geomColumn()
+	j, err := newJoinFn(Source{Table: a.Table, Column: a.Column}, Source{Table: b.Table, Column: b.Column}, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	colB, err := sb.geomColumn()
-	if err != nil {
-		return nil, err
-	}
+	defer j.Close()
 	// Primary filter: tile merge join, deduped (a pair sharing several
 	// tiles appears once).
+	end := j.span(telemetry.StagePrimary)
 	seen := map[Pair]bool{}
 	err = quadtree.TilePairs(a.Index, b.Index, func(ida, idb storage.RowID) bool {
 		seen[Pair{A: ida, B: idb}] = true
 		return true
 	})
+	end()
 	if err != nil {
 		return nil, err
 	}
-	cands := make([]Pair, 0, len(seen))
+	j.cands = make([]Pair, 0, len(seen))
 	for p := range seen {
-		cands = append(cands, p)
+		j.cands = append(j.cands, p)
 	}
-	if cfg.SortCandidates {
-		slices.SortFunc(cands, comparePairs)
+	j.stats.Candidates = len(j.cands)
+	// Secondary filter: the R-tree join's own drain — sorted fetch
+	// through the decoded-geometry cache (shared when Config.GeomCache
+	// is set, so a database serving both index kinds reuses decodes),
+	// with its counters, instruments and trace spans.
+	if err := j.secondaryFilter(); err != nil {
+		return nil, err
 	}
-	// Secondary filter, fetching through the same decoded-geometry cache
-	// as the R-tree join (shared when Config.GeomCache is set, so a
-	// database serving both index kinds reuses decodes across them).
-	cache := cfg.resolveCache()
-	var (
-		out     []Pair
-		curID   storage.RowID
-		haveCur bool
-	)
-	var curGeom geom.Geometry
-	for _, p := range cands {
-		if !haveCur || curID != p.A {
-			g, _, err := cachedFetch(cache, a.Table, colA, p.A)
-			if err != nil {
-				return nil, err
-			}
-			curID, curGeom, haveCur = p.A, g, true
-		}
-		g, _, err := cachedFetch(cache, b.Table, colB, p.B)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.secondaryAccepts(curGeom, g) {
-			out = append(out, p)
-		}
-	}
-	return out, nil
+	return j.ready, nil // evaluated before the deferred Close drops it
 }

@@ -6,6 +6,7 @@ import (
 	"spatialtf/internal/datagen"
 	"spatialtf/internal/idxbuild"
 	"spatialtf/internal/quadtree"
+	"spatialtf/internal/telemetry"
 )
 
 func buildQSource(t testing.TB, name string, ds datagen.Dataset, level int) (QSource, Source) {
@@ -30,28 +31,38 @@ func buildQSource(t testing.TB, name string, ds datagen.Dataset, level int) (QSo
 		Source{Table: tab, Column: "geom", Tree: tree}
 }
 
+// TestQuadtreeJoinEqualsRtreeJoin also checks that the quadtree join,
+// which drains through the R-tree join's secondary filter, feeds the
+// join counters and records primary- and secondary-filter spans.
 func TestQuadtreeJoinEqualsRtreeJoin(t *testing.T) {
 	qa, sa := buildQSource(t, "stars", datagen.Stars(500, 37), 7)
+	want := collect(t, sa, sa, DefaultConfig())
+	reg := telemetry.New()
 	cfg := DefaultConfig()
-	cur, err := IndexJoin(sa, sa, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := CollectPairs(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SortPairs(want)
+	cfg.Instr = NewInstruments(reg)
+	cfg.Trace = telemetry.NewTracer(reg, -1, nil).Begin("quadtree stars*stars")
 	got, err := QuadtreeJoin(qa, qa, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Trace.Finish()
 	SortPairs(got)
 	if !pairsEqual(got, want) {
 		t.Fatalf("quadtree join %d pairs, rtree join %d", len(got), len(want))
 	}
 	if len(got) == 0 {
 		t.Fatalf("degenerate test: empty join result")
+	}
+	if res := lookupValue(t, reg, "join_results_total"); res != int64(len(got)) {
+		t.Errorf("join_results_total = %d, want %d", res, len(got))
+	}
+	if c := lookupValue(t, reg, "join_candidates_total"); c <= 0 {
+		t.Errorf("join_candidates_total = %d, want > 0", c)
+	}
+	for _, s := range []telemetry.Stage{telemetry.StagePrimary, telemetry.StageSecondary} {
+		if _, n := cfg.Trace.StageTotal(s); n == 0 {
+			t.Errorf("trace recorded no %v spans", s)
+		}
 	}
 }
 

@@ -12,21 +12,28 @@ import (
 	"spatialtf/internal/telemetry"
 )
 
-// JoinFunction is the spatial_join pipelined table function of §4.2. Its state
-// across fetch calls is:
+// JoinFunction is the spatial_join pipelined table function of §4.2 and
+// the one executor of every R-tree join path: the serial join, each
+// subtree-parallel instance, and each grid instance. Its state across
+// fetch calls is:
 //
-//   - a stack of R-tree node pairs still to be traversed (seeded in the
-//     start method with the subtree-root pairs passed in), and
+//   - the primary filter's remaining work: a stack of R-tree node pairs
+//     still to be traversed (seeded in the start method with the
+//     subtree-root pairs passed in) or, for a grid instance, the shared
+//     tile queue it claims tiles from, and
 //   - the bounded candidate array filled by the index (primary) filter
 //     and drained by the geometry (secondary) filter.
 //
-// Each fetch call resumes the traversal from the stack, refilling the
-// candidate array as it empties, evaluating candidates exactly, and
-// returning up to the requested number of result rowid pairs. When the
-// stack and array are empty the fetch returns an empty collection and
-// the subsequent close releases resources.
+// Each fetch call resumes the primary filter, refilling the candidate
+// array as it empties, evaluating candidates exactly, and returning up
+// to the requested number of result rowid pairs. When the primary
+// filter has no work left and the array is empty the fetch returns an
+// empty collection and the subsequent close releases resources.
 type JoinFunction struct {
 	cfg Config
+	// fastAccept is the resolved interior-approximation switch
+	// (Config.UseInteriorApprox on an ANYINTERACT join).
+	fastAccept bool
 
 	// Operand tables for the secondary filter.
 	tabA, tabB *storage.Table
@@ -43,6 +50,9 @@ type JoinFunction struct {
 
 	// Traversal stack.
 	stack []nodePair
+
+	// Shared tile queue of a grid instance (nil on the node-pair paths).
+	grid *gridState
 
 	// Candidate array (primary-filter output awaiting exact check).
 	cands []Pair
@@ -132,15 +142,16 @@ func newJoinFn(a, b Source, cfg Config, roots []nodePair) (*JoinFunction, error)
 	}
 	cfg = cfg.withDefaults()
 	return &JoinFunction{
-		cfg:   cfg,
-		tabA:  a.Table,
-		tabB:  b.Table,
-		colA:  colA,
-		colB:  colB,
-		cache: cfg.resolveCache(),
-		roots: roots,
-		instr: cfg.Instr,
-		trace: cfg.Trace,
+		cfg:        cfg,
+		fastAccept: cfg.UseInteriorApprox && cfg.Distance == 0 && cfg.Mask == geom.MaskAnyInteract,
+		tabA:       a.Table,
+		tabB:       b.Table,
+		colA:       colA,
+		colB:       colB,
+		cache:      cfg.resolveCache(),
+		roots:      roots,
+		instr:      cfg.Instr,
+		trace:      cfg.Trace,
 	}, nil
 }
 
@@ -152,8 +163,10 @@ func (j *JoinFunction) Start() error {
 	return nil
 }
 
-// Fetch implements TableFunction: resume the join from the stack and
-// return up to max result pairs.
+// Fetch implements TableFunction: resume the join and return up to max
+// result pairs. Each step drains verified results, refills an empty
+// candidate array from the primary filter, or drains a filled one
+// through the secondary filter.
 func (j *JoinFunction) Fetch(max int) ([]storage.Row, error) {
 	//spatiallint:ignore hotalloc per-batch output buffer, amortised over max rows
 	out := make([]storage.Row, 0, max)
@@ -168,15 +181,11 @@ func (j *JoinFunction) Fetch(max int) ([]storage.Row, error) {
 			out = append(out, ar.row(p))
 			continue
 		}
-		// Refill the candidate array by resuming the index traversal.
-		if len(j.stack) > 0 {
-			//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per refill not per row
-			end := j.span(telemetry.StagePrimary)
-			j.fillCandidates()
-			end()
-		}
 		if len(j.cands) == 0 {
-			break // stack empty and no candidates: join complete
+			if !j.fillCandidates() {
+				break // no primary-filter work left, nothing pending: join complete
+			}
+			continue // the refill may have fast-accepted results
 		}
 		if err := j.secondaryFilter(); err != nil {
 			return nil, err
@@ -211,22 +220,39 @@ func (j *JoinFunction) Close() error {
 // Stats returns the accumulated work counters.
 func (j *JoinFunction) Stats() JoinStats { return j.stats }
 
-// fillCandidates runs the synchronized R-tree traversal until the
-// candidate array reaches capacity or the stack empties — the primary
-// (index MBR) filter. Equal-height node pairs are intersected by
-// entryPairs; leaf pairs feed the candidate array, inner pairs the
-// stack.
-func (j *JoinFunction) fillCandidates() {
+// fillCandidates runs the primary filter until the candidate array
+// reaches capacity or the work runs out, and reports whether any work
+// was left. A grid instance claims and sweeps tiles from the shared
+// queue; the node-pair paths resume the synchronized R-tree traversal
+// from the stack, where equal-height node pairs are intersected by
+// entryPairs, leaf pairs feed the emit step and inner pairs the stack.
+func (j *JoinFunction) fillCandidates() bool {
+	if j.grid != nil {
+		claimed := false
+		for len(j.cands) < j.cfg.CandidateCap {
+			ti := j.grid.claim()
+			if ti < 0 {
+				break
+			}
+			j.sweepTile(ti)
+			claimed = true
+		}
+		return claimed
+	}
+	if len(j.stack) == 0 {
+		return false
+	}
+	//spatiallint:ignore hotalloc span closure only allocates when a telemetry sink is attached, once per refill not per row
+	end := j.span(telemetry.StagePrimary)
 	for len(j.stack) > 0 && len(j.cands) < j.cfg.CandidateCap {
 		top := j.stack[len(j.stack)-1]
 		j.stack = j.stack[:len(j.stack)-1]
 		j.stats.NodePairsVisited++
 		j.stats.NodeAccesses += 2
 		a, b := top.a, top.b
-		fastAccept := j.cfg.UseInteriorApprox && j.cfg.Distance == 0 && j.cfg.Mask == geom.MaskAnyInteract
 		switch {
 		case a.IsLeaf() && b.IsLeaf():
-			j.entryPairs(a, b, func(ai, bi int) { j.emitLeafPair(a, b, ai, bi, fastAccept) })
+			j.entryPairs(a, b, func(ai, bi int) { j.emit(a.Item(ai), b.Item(bi)) })
 		case !a.IsLeaf() && !b.IsLeaf():
 			// Descend both sides, pairing children whose MBRs interact.
 			j.entryPairs(a, b, func(ai, bi int) {
@@ -247,53 +273,45 @@ func (j *JoinFunction) fillCandidates() {
 			}
 		}
 	}
+	end()
+	return true
 }
 
 // entryPairs calls emit(ai, bi) for every entry pair of the equal-height
-// nodes a and b that survives the primary filter: by the plane-sweep
-// kernel over xlo-sorted entry lists (default, O(n log n + output)), or
-// by the O(n·m) nested scan when the pair is below
-// Config.SweepThreshold or Config.NestedPrimaryFilter is set. Both
-// produce the same pair set in a different order.
+// nodes a and b that survives the primary filter, by the plane-sweep
+// kernel over xlo-sorted entry lists (O(n log n + output)).
 func (j *JoinFunction) entryPairs(a, b rtree.NodeRef, emit func(ai, bi int)) {
-	if !j.cfg.NestedPrimaryFilter && a.NumEntries()+b.NumEntries() >= j.cfg.SweepThreshold {
-		j.sweepA = fillSweep(j.sweepA, a)
-		j.sweepB = fillSweep(j.sweepB, b)
-		sweep(j.sweepA, j.sweepB, j.cfg.Distance, emit)
-		return
-	}
-	for i := 0; i < a.NumEntries(); i++ {
-		ma := a.EntryMBR(i)
-		for k := 0; k < b.NumEntries(); k++ {
-			if j.cfg.primaryAccepts(ma, b.EntryMBR(k)) {
-				emit(i, k)
-			}
-		}
-	}
+	j.sweepA = fillSweep(j.sweepA, a)
+	j.sweepB = fillSweep(j.sweepB, b)
+	sweep(j.sweepA, j.sweepB, j.cfg.Distance, emit)
 }
 
-// emitLeafPair routes one primary-filter survivor from a leaf×leaf node
-// pair: fast-accepted into the ready queue when the interior
+// emit routes one primary-filter survivor, from a leaf×leaf node pair
+// or a tile sweep: into the ready queue when the interior
 // approximations prove intersection, otherwise into the candidate array
 // for the secondary filter.
-func (j *JoinFunction) emitLeafPair(a, b rtree.NodeRef, ai, bi int, fastAccept bool) {
-	if fastAccept {
-		ia := a.EntryInterior(ai)
-		ib := b.EntryInterior(bi)
-		// Interior rectangles are subsets of the exact geometries, so
-		// any of these conditions proves intersection without a
-		// geometry fetch.
-		if (ia.Area() > 0 && ib.Area() > 0 && ia.Intersects(ib)) ||
-			(ia.Area() > 0 && ia.Contains(b.EntryMBR(bi))) ||
-			(ib.Area() > 0 && ib.Contains(a.EntryMBR(ai))) {
-			j.ready = append(j.ready, Pair{A: a.EntryID(ai), B: b.EntryID(bi)})
-			j.stats.Results++
-			j.stats.FastAccepts++
-			return
-		}
+func (j *JoinFunction) emit(a, b rtree.Item) {
+	p := Pair{A: a.ID, B: b.ID}
+	if j.fastAccept && interiorsIntersect(a, b) {
+		j.ready = append(j.ready, p)
+		j.stats.Results++
+		j.stats.FastAccepts++
+		return
 	}
-	j.cands = append(j.cands, Pair{A: a.EntryID(ai), B: b.EntryID(bi)})
+	j.cands = append(j.cands, p)
 	j.stats.Candidates++
+}
+
+// interiorsIntersect reports whether two items' interior rectangles
+// prove their exact geometries intersect. Interior rectangles are
+// subsets of the exact geometries, so overlapping interiors, or one
+// interior containing the other item's MBR, suffice; a zero-area
+// interior means none was computed.
+func interiorsIntersect(a, b rtree.Item) bool {
+	ia, ib := a.Interior, b.Interior
+	return (ia.Area() > 0 && ib.Area() > 0 && ia.Intersects(ib)) ||
+		(ia.Area() > 0 && ia.Contains(b.MBR)) ||
+		(ib.Area() > 0 && ib.Contains(a.MBR))
 }
 
 // secondaryFilter drains the candidate array: fetch exact geometries and

@@ -100,25 +100,13 @@ type Config struct {
 	// default).
 	FetchBatch int
 	// UseInteriorApprox enables the interior-approximation fast accept
-	// (Kothuri & Ravada, SSTD 2001): leaf-entry pairs whose interior
-	// rectangles overlap — or where one interior contains the other's
-	// MBR — are emitted as results without fetching exact geometries.
+	// (Kothuri & Ravada, SSTD 2001): primary-filter survivors (leaf
+	// entry pairs or tile pairs) whose interior rectangles overlap — or
+	// where one interior contains the other's MBR — are emitted as
+	// results without fetching exact geometries.
 	// Only applies to ANYINTERACT joins (Distance == 0) on indexes
 	// built with interior approximations; a no-op otherwise.
 	UseInteriorApprox bool
-	// NestedPrimaryFilter forces the primary filter back to the nested
-	// entry-pair scan. Default (false) uses the forward plane sweep over
-	// xlo-sorted entry lists whenever a node pair is large enough; this
-	// knob is the ablation baseline.
-	NestedPrimaryFilter bool
-	// SweepThreshold is the minimum combined entry count of a node pair
-	// for the plane sweep to engage (0 = DefaultSweepThreshold). Below
-	// it, sorting costs more than the quadratic scan saves.
-	SweepThreshold int
-	// GridTiles, when positive, overrides the grid-partitioned path's
-	// automatic tile-count choice (GridShape) — an ablation knob for
-	// studying tile granularity. Rounded up to a square grid.
-	GridTiles int
 	// GeomCacheBytes bounds the decoded-geometry cache of the secondary
 	// filter in bytes (0 = DefaultGeomCacheBytes; negative disables the
 	// cache). Ignored when GeomCache is set.
@@ -137,18 +125,10 @@ type Config struct {
 	Trace *telemetry.Trace
 }
 
-// DefaultSweepThreshold is the combined entry count below which the
-// plane sweep falls back to the nested scan: two sorts plus merge
-// bookkeeping only pay off once the pair has a few dozen entries.
-const DefaultSweepThreshold = 16
-
 // withDefaults normalises a config.
 func (c Config) withDefaults() Config {
 	if c.CandidateCap <= 0 {
 		c.CandidateCap = DefaultCandidateCap
-	}
-	if c.SweepThreshold <= 0 {
-		c.SweepThreshold = DefaultSweepThreshold
 	}
 	return c
 }

@@ -29,13 +29,17 @@ func collect(t *testing.T, a, b Source, cfg Config) []Pair {
 // TestSweepMatchesNestedPrimaryFilter is the differential test for the
 // plane-sweep primary filter: across uniform (counties), clustered
 // (stars), and skewed (block groups) data, with and without a join
-// distance, the sweep and the nested entry-pair scan must produce
-// identical result sets. SweepThreshold 1 forces the sweep onto every
-// node pair, including the small ones the default threshold would skip.
+// distance, the sweep-driven index join must produce exactly the pairs
+// of NestedLoop, the independent reference. The tiny case has fewer
+// rows than one node, so its only node pair is the root leaf×leaf pair.
 func TestSweepMatchesNestedPrimaryFilter(t *testing.T) {
 	uniform := buildSource(t, "t_uniform", datagen.Counties(300, 11))
 	clustered := buildSource(t, "t_clustered", datagen.Stars(800, 12))
 	skewed := buildSource(t, "t_skewed", datagen.BlockGroups(250, 13))
+	tiny := buildSource(t, "t_tiny", datagen.Counties(7, 14))
+	if !tiny.Tree.Root().IsLeaf() {
+		t.Fatalf("tiny source has %d rows and an inner root; want a single leaf", tiny.Tree.Len())
+	}
 
 	cases := []struct {
 		name string
@@ -46,23 +50,20 @@ func TestSweepMatchesNestedPrimaryFilter(t *testing.T) {
 		{"skewed_self", skewed, skewed},
 		{"uniform_x_clustered", uniform, clustered},
 		{"clustered_x_skewed", clustered, skewed},
+		{"tiny_self", tiny, tiny},
 	}
 	for _, tc := range cases {
 		for _, dist := range []float64{0, 10} {
 			t.Run(fmt.Sprintf("%s/dist=%g", tc.name, dist), func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Distance = dist
-
-				sweep := cfg
-				sweep.SweepThreshold = 1
-				got := collect(t, tc.a, tc.b, sweep)
-
-				nested := cfg
-				nested.NestedPrimaryFilter = true
-				want := collect(t, tc.a, tc.b, nested)
-
+				got := collect(t, tc.a, tc.b, cfg)
+				want := nestedPairs(t, tc.a, tc.b, cfg)
+				if len(want) == 0 {
+					t.Fatalf("degenerate case: empty nested-loop result")
+				}
 				if !pairsEqual(got, want) {
-					t.Fatalf("sweep produced %d pairs, nested %d; result sets differ", len(got), len(want))
+					t.Fatalf("sweep produced %d pairs, nested loop %d; result sets differ", len(got), len(want))
 				}
 			})
 		}
@@ -71,16 +72,15 @@ func TestSweepMatchesNestedPrimaryFilter(t *testing.T) {
 
 // TestSweepMatchesNestedParallel checks the same equivalence through
 // the parallel subtree-pair path: each instance runs the sweep on its
-// own share of the decomposition, and the merged result must match the
-// nested-scan parallel join pair for pair.
+// own share of the decomposition, and the merged result must match
+// NestedLoop pair for pair.
 func TestSweepMatchesNestedParallel(t *testing.T) {
 	a := buildSource(t, "p_stars", datagen.Stars(900, 21))
 	b := buildSource(t, "p_counties", datagen.Counties(250, 22))
+	want := nestedPairs(t, a, b, DefaultConfig())
 	for _, workers := range []int{2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			sweep := DefaultConfig()
-			sweep.SweepThreshold = 1
-			cs, err := ParallelIndexJoin(a, b, sweep, workers)
+			cs, err := ParallelIndexJoin(a, b, DefaultConfig(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,39 +88,11 @@ func TestSweepMatchesNestedParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			nested := DefaultConfig()
-			nested.NestedPrimaryFilter = true
-			cn, err := ParallelIndexJoin(a, b, nested, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := CollectPairs(cn)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			SortPairs(got)
-			SortPairs(want)
 			if !pairsEqual(got, want) {
-				t.Fatalf("parallel sweep produced %d pairs, nested %d; result sets differ", len(got), len(want))
+				t.Fatalf("parallel sweep produced %d pairs, nested loop %d; result sets differ", len(got), len(want))
 			}
 		})
-	}
-}
-
-// TestSweepThresholdFallback pins the threshold semantics: a threshold
-// above any node's entry count degrades to the nested scan and still
-// matches the default configuration's results.
-func TestSweepThresholdFallback(t *testing.T) {
-	src := buildSource(t, "thresh_stars", datagen.Stars(600, 31))
-	def := collect(t, src, src, DefaultConfig())
-
-	high := DefaultConfig()
-	high.SweepThreshold = 1 << 20
-	got := collect(t, src, src, high)
-	if !pairsEqual(got, def) {
-		t.Fatalf("high-threshold join produced %d pairs, default %d", len(got), len(def))
 	}
 }
 
