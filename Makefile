@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build lint test race race-hot fuzz-smoke bench bench-smoke bench-wire bench-record obs-smoke crash-smoke cluster-smoke
+.PHONY: ci fmt-check vet perfbench-vet build lint test race race-hot fuzz-smoke bench bench-smoke bench-wire bench-record obs-smoke crash-smoke cluster-smoke
 
-ci: fmt-check vet build lint race-hot race fuzz-smoke bench-smoke obs-smoke crash-smoke cluster-smoke
+ci: fmt-check vet perfbench-vet build lint race-hot race fuzz-smoke bench-smoke obs-smoke crash-smoke cluster-smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -17,6 +17,12 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is a nested module, so the root vet and build skip it; this
+# lane type-checks it against the current root API, so a root change
+# that breaks the benchmark fails here rather than at benchmark time.
+perfbench-vet:
+	cd perfbench && $(GO) vet .
 
 build:
 	$(GO) build ./...

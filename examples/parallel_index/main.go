@@ -44,26 +44,19 @@ func main() {
 	}
 
 	fmt.Printf("\n%-10s %-22s %-22s\n", "workers", "quadtree (tessellate)", "rtree (mbr load)")
+	buildQuadtree, buildRtree := idxbuild.CreateQuadtree, idxbuild.CreateRtree
+	if *sim {
+		buildQuadtree, buildRtree = idxbuild.CreateQuadtreeSim, idxbuild.CreateRtreeSim
+	}
 	var q1, r1 float64
 	for _, w := range []int{1, 2, 4} {
-		var qs, rs idxbuild.Stats
-		if *sim {
-			_, q, err := idxbuild.CreateQuadtreeSim(tab, "geom", grid, w)
-			if err != nil {
-				log.Fatal(err)
-			}
-			_, r, err := idxbuild.CreateRtreeSim(tab, "geom", 0, w)
-			if err != nil {
-				log.Fatal(err)
-			}
-			qs, rs = q.Stats, r.Stats
-		} else {
-			if _, qs, err = idxbuild.CreateQuadtree(tab, "geom", grid, w); err != nil {
-				log.Fatal(err)
-			}
-			if _, rs, err = idxbuild.CreateRtree(tab, "geom", 0, w); err != nil {
-				log.Fatal(err)
-			}
+		_, qs, err := buildQuadtree(tab, "geom", grid, w)
+		if err != nil {
+			log.Fatal(err)
+		}
+		_, rs, err := buildRtree(tab, "geom", 0, w)
+		if err != nil {
+			log.Fatal(err)
 		}
 		q := qs.Total.Seconds()
 		r := rs.Total.Seconds()

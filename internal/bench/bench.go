@@ -305,29 +305,19 @@ func RunTable3(opt Table3Options) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	buildQuadtree, buildRtree := idxbuild.CreateQuadtree, idxbuild.CreateRtree
+	if opt.SimulateProcessors {
+		buildQuadtree, buildRtree = idxbuild.CreateQuadtreeSim, idxbuild.CreateRtreeSim
+	}
 	var rows []Table3Row
 	for _, w := range opt.Workers {
-		var qs, rs idxbuild.Stats
-		if opt.SimulateProcessors {
-			_, q, err := idxbuild.CreateQuadtreeSim(tab, "geom", grid, w)
-			if err != nil {
-				return nil, err
-			}
-			_, r, err := idxbuild.CreateRtreeSim(tab, "geom", 0, w)
-			if err != nil {
-				return nil, err
-			}
-			qs, rs = q.Stats, r.Stats
-		} else {
-			var err error
-			_, qs, err = idxbuild.CreateQuadtree(tab, "geom", grid, w)
-			if err != nil {
-				return nil, err
-			}
-			_, rs, err = idxbuild.CreateRtree(tab, "geom", 0, w)
-			if err != nil {
-				return nil, err
-			}
+		_, qs, err := buildQuadtree(tab, "geom", grid, w)
+		if err != nil {
+			return nil, err
+		}
+		_, rs, err := buildRtree(tab, "geom", 0, w)
+		if err != nil {
+			return nil, err
 		}
 		rows = append(rows, Table3Row{
 			Workers:      w,

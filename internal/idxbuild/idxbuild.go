@@ -16,6 +16,14 @@
 // cluster subtrees in parallel" — an MBR-loader table function fans out
 // over the table partition cursors, and the collected (mbr, rowid) items
 // go through the parallel subtree build of rtree.ParallelBulkLoad.
+//
+// Every builder has a *Sim twin for hosts with fewer cores than the
+// degree of parallelism measured (the paper's Table 3 ran on 4 CPUs).
+// It is a mode of the same build, not a second one: the same partitions,
+// table-function instances and decoding step, with the instances run
+// one at a time by tablefunc.Simulate and the load phase charged as the
+// makespan of their list schedule on `workers` processors. The index
+// contents are identical to the goroutine-parallel build's.
 package idxbuild
 
 import (
@@ -40,6 +48,54 @@ type Stats struct {
 	LoadPhase  time.Duration // tessellation / MBR-computation phase
 	BuildPhase time.Duration // B-tree build / subtree clustering+merge
 	Total      time.Duration
+	// InstanceTimes are the simulated processors' load-phase busy
+	// times (their max is LoadPhase); nil for a goroutine-parallel build.
+	InstanceTimes []time.Duration
+}
+
+// load is the load phase both build modes share: tab is partitioned
+// across `workers` instances of the table function newFn builds, and
+// add decodes every row they emit. The goroutine mode runs the
+// instances through tablefunc.Parallel and times the phase by wall
+// clock; the simulated mode runs them through tablefunc.Simulate.
+func load(tab *storage.Table, column string, workers int, simulate bool,
+	newFn func(geomCol int, input storage.Cursor) tablefunc.TableFunction,
+	add func(storage.Row) error) (Stats, error) {
+	workers = max(workers, 1)
+	col, err := tab.ColumnIndex(column)
+	if err != nil {
+		return Stats{}, err
+	}
+	st := Stats{Rows: tab.Len(), Workers: workers}
+	start := time.Now()
+	parts := tablefunc.PartitionTable(tab, workers)
+	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
+		return newFn(col, input), nil
+	}
+	consume := func(c storage.Cursor) error {
+		for {
+			_, row, ok, err := c.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if err := add(row); err != nil {
+				return err
+			}
+		}
+	}
+	if simulate {
+		times, err := tablefunc.Simulate(parts, factory, 0, consume)
+		if err != nil {
+			return Stats{}, err
+		}
+		st.InstanceTimes, st.LoadPhase = tablefunc.ListSchedule(times, workers)
+		return st, nil
+	}
+	out := tablefunc.Parallel(parts, factory, 0)
+	err = consume(out)
+	out.Close()
+	st.LoadPhase = time.Since(start)
+	return st, err
 }
 
 // --- Quadtree creation (Figure 2) ---
@@ -112,54 +168,43 @@ func tileRowKey(row storage.Row) ([]byte, error) {
 // with the given degree of parallelism, returning the index and build
 // statistics.
 func CreateQuadtree(tab *storage.Table, column string, grid quadtree.Grid, workers int) (*quadtree.Index, Stats, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	col, err := tab.ColumnIndex(column)
+	return createQuadtree(tab, column, grid, workers, false)
+}
+
+// CreateQuadtreeSim is CreateQuadtree under the multi-processor
+// simulator. The B-tree build phase is charged as measured (its chunk
+// sort parallelises for real on multi-core hosts).
+func CreateQuadtreeSim(tab *storage.Table, column string, grid quadtree.Grid, workers int) (*quadtree.Index, Stats, error) {
+	return createQuadtree(tab, column, grid, workers, true)
+}
+
+func createQuadtree(tab *storage.Table, column string, grid quadtree.Grid, workers int, simulate bool) (*quadtree.Index, Stats, error) {
+	// Step 1 (parallel): tessellate geometries into tiles — the table
+	// function with a partitioned input cursor.
+	var entries []btree.Entry
+	st, err := load(tab, column, workers, simulate,
+		func(col int, input storage.Cursor) tablefunc.TableFunction {
+			return &tessellateFn{input: input, geomCol: col, grid: grid}
+		},
+		func(row storage.Row) error {
+			key, err := tileRowKey(row)
+			if err != nil {
+				return err
+			}
+			entries = append(entries, btree.Entry{Key: key})
+			return nil
+		})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	start := time.Now()
-
-	// Step 1 (parallel): tessellate geometries into tiles — the table
-	// function with a partitioned input cursor.
-	parts := tablefunc.PartitionTable(tab, workers)
-	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
-		return &tessellateFn{input: input, geomCol: col, grid: grid}, nil
-	}
-	out := tablefunc.Parallel(parts, factory, 0)
-	var entries []btree.Entry
-	for {
-		_, row, ok, err := out.Next()
-		if err != nil {
-			out.Close()
-			return nil, Stats{}, err
-		}
-		if !ok {
-			break
-		}
-		key, err := tileRowKey(row)
-		if err != nil {
-			out.Close()
-			return nil, Stats{}, err
-		}
-		entries = append(entries, btree.Entry{Key: key})
-	}
-	out.Close()
-	loadDone := time.Now()
 
 	// Step 2 (parallel): build the B-tree on the tile codes.
-	idx := quadtree.NewIndexFromEntries(grid, entries, workers)
-	end := time.Now()
-
-	return idx, Stats{
-		Rows:       tab.Len(),
-		Entries:    len(entries),
-		Workers:    workers,
-		LoadPhase:  loadDone.Sub(start),
-		BuildPhase: end.Sub(loadDone),
-		Total:      end.Sub(start),
-	}, nil
+	t0 := time.Now()
+	idx := quadtree.NewIndexFromEntries(grid, entries, st.Workers)
+	st.BuildPhase = time.Since(t0)
+	st.Entries = len(entries)
+	st.Total = st.LoadPhase + st.BuildPhase
+	return idx, st, nil
 }
 
 // --- R-tree creation ---
@@ -249,53 +294,49 @@ func CreateRtree(tab *storage.Table, column string, fanout, workers int) (*rtree
 
 // CreateRtreeOpts builds an R-tree index with full options.
 func CreateRtreeOpts(tab *storage.Table, column string, opt RtreeOptions) (*rtree.Tree, Stats, error) {
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	col, err := tab.ColumnIndex(column)
+	return createRtree(tab, column, opt, false)
+}
+
+// CreateRtreeSim is CreateRtree under the multi-processor simulator:
+// the MBR-load phase is simulated per instance, and the subtree
+// clustering by rtree.ParallelBulkLoadSim (the partitions' packing
+// makespan plus the measured serial sort and merge).
+func CreateRtreeSim(tab *storage.Table, column string, fanout, workers int) (*rtree.Tree, Stats, error) {
+	return createRtree(tab, column, RtreeOptions{Fanout: fanout, Workers: workers}, true)
+}
+
+func createRtree(tab *storage.Table, column string, opt RtreeOptions, simulate bool) (*rtree.Tree, Stats, error) {
+	// Step 1 (parallel): load geometries and compute MBRs (plus
+	// interior approximations when requested).
+	var items []rtree.Item
+	st, err := load(tab, column, opt.Workers, simulate,
+		func(col int, input storage.Cursor) tablefunc.TableFunction {
+			return &mbrLoadFn{input: input, geomCol: col, interiorEffort: opt.InteriorEffort}
+		},
+		func(row storage.Row) error {
+			it, err := mbrRowItem(row)
+			if err != nil {
+				return err
+			}
+			items = append(items, it)
+			return nil
+		})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	start := time.Now()
-
-	// Step 1 (parallel): load geometries and compute MBRs (plus
-	// interior approximations when requested).
-	parts := tablefunc.PartitionTable(tab, workers)
-	factory := func(instance int, input storage.Cursor) (tablefunc.TableFunction, error) {
-		return &mbrLoadFn{input: input, geomCol: col, interiorEffort: opt.InteriorEffort}, nil
-	}
-	out := tablefunc.Parallel(parts, factory, 0)
-	var items []rtree.Item
-	for {
-		_, row, ok, err := out.Next()
-		if err != nil {
-			out.Close()
-			return nil, Stats{}, err
-		}
-		if !ok {
-			break
-		}
-		it, err := mbrRowItem(row)
-		if err != nil {
-			out.Close()
-			return nil, Stats{}, err
-		}
-		items = append(items, it)
-	}
-	out.Close()
-	loadDone := time.Now()
 
 	// Step 2 (parallel): cluster subtrees in parallel and merge.
-	tree := rtree.ParallelBulkLoad(items, opt.Fanout, workers)
-	end := time.Now()
-
-	return tree, Stats{
-		Rows:       tab.Len(),
-		Entries:    len(items),
-		Workers:    workers,
-		LoadPhase:  loadDone.Sub(start),
-		BuildPhase: end.Sub(loadDone),
-		Total:      end.Sub(start),
-	}, nil
+	var tree *rtree.Tree
+	if simulate {
+		var cluster, serial time.Duration
+		tree, cluster, serial = rtree.ParallelBulkLoadSim(items, opt.Fanout, st.Workers)
+		st.BuildPhase = cluster + serial
+	} else {
+		t0 := time.Now()
+		tree = rtree.ParallelBulkLoad(items, opt.Fanout, st.Workers)
+		st.BuildPhase = time.Since(t0)
+	}
+	st.Entries = len(items)
+	st.Total = st.LoadPhase + st.BuildPhase
+	return tree, st, nil
 }

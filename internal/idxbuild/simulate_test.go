@@ -1,6 +1,10 @@
 package idxbuild
 
 import (
+	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"spatialtf/internal/datagen"
@@ -17,40 +21,32 @@ func TestCreateQuadtreeSimMatchesReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, _, err := CreateQuadtree(tab, "geom", grid, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	win := geom.MBR{MinX: 100, MinY: 100, MaxX: 300, MaxY: 300}
 	for _, w := range []int{1, 2, 4} {
+		real, _, err := CreateQuadtree(tab, "geom", grid, w)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
 		sim, stats, err := CreateQuadtreeSim(tab, "geom", grid, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if sim.EntryCount() != real.EntryCount() {
-			t.Fatalf("workers=%d: %d entries, real build %d", w, sim.EntryCount(), real.EntryCount())
+		if sim.EntryCount() != real.EntryCount() || stats.Entries != real.EntryCount() {
+			t.Fatalf("workers=%d: %d entries (stats %d), real build %d", w, sim.EntryCount(), stats.Entries, real.EntryCount())
 		}
 		if stats.Workers != w || stats.Rows != tab.Len() || stats.Total <= 0 {
 			t.Errorf("workers=%d: stats %+v", w, stats)
 		}
-		if w > 1 && len(stats.InstanceTimes) != w {
+		if len(stats.InstanceTimes) != w {
 			t.Errorf("workers=%d: %d instance times", w, len(stats.InstanceTimes))
 		}
 		// The makespan is the max instance time.
-		var max int64
-		for _, d := range stats.InstanceTimes {
-			if int64(d) > max {
-				max = int64(d)
-			}
-		}
-		if int64(stats.LoadPhase) != max {
-			t.Errorf("workers=%d: load phase %v != max instance %v", w, stats.LoadPhase, max)
+		if stats.LoadPhase != slices.Max(stats.InstanceTimes) {
+			t.Errorf("workers=%d: load phase %v != max instance %v", w, stats.LoadPhase, slices.Max(stats.InstanceTimes))
 		}
 		// Same candidates for a probe window.
-		win := geom.MBR{MinX: 100, MinY: 100, MaxX: 300, MaxY: 300}
-		a := sim.WindowCandidates(win)
-		b := real.WindowCandidates(win)
-		if len(a) != len(b) {
-			t.Fatalf("workers=%d: %d candidates, real %d", w, len(a), len(b))
+		if !sameRowIDs(sim.WindowCandidates(win), real.WindowCandidates(win)) {
+			t.Fatalf("workers=%d: window candidates differ from the real build's", w)
 		}
 	}
 }
@@ -58,11 +54,11 @@ func TestCreateQuadtreeSimMatchesReal(t *testing.T) {
 func TestCreateRtreeSimMatchesReal(t *testing.T) {
 	ds := datagen.BlockGroups(2000, 409)
 	tab := loadTable(t, ds)
-	real, _, err := CreateRtree(tab, "geom", 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, w := range []int{1, 2, 4} {
+		real, _, err := CreateRtree(tab, "geom", 0, w)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
 		sim, stats, err := CreateRtreeSim(tab, "geom", 0, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -70,20 +66,12 @@ func TestCreateRtreeSimMatchesReal(t *testing.T) {
 		if err := sim.Validate(); err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		if sim.Len() != real.Len() {
-			t.Fatalf("workers=%d: %d items, real %d", w, sim.Len(), real.Len())
-		}
-		if stats.Total <= 0 || stats.Rows != tab.Len() {
+		if stats.Total <= 0 || stats.Rows != tab.Len() || stats.Entries != tab.Len() {
 			t.Errorf("workers=%d: stats %+v", w, stats)
 		}
-		q := geom.MBR{MinX: 200, MinY: 200, MaxX: 500, MaxY: 500}
-		count := func(tr *rtree.Tree) int {
-			n := 0
-			tr.Search(q, func(rtree.Item) bool { n++; return true })
-			return n
-		}
-		if count(sim) != count(real) {
-			t.Fatalf("workers=%d: query results differ", w)
+		got, want := sortedItems(sim), sortedItems(real)
+		if len(got) != tab.Len() || !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: simulated build's %d items differ from the real build's %d", w, len(got), len(want))
 		}
 	}
 }
@@ -135,15 +123,60 @@ func TestCreateRtreeWithInterior(t *testing.T) {
 	}
 }
 
+func TestCreateRtreeInvalidMBR(t *testing.T) {
+	// One point with a NaN vertex among 300 valid stars: both modes
+	// refuse the build, and report it the same way.
+	ds := datagen.Stars(300, 431)
+	ds.Geoms = append(ds.Geoms[:150], append([]geom.Geometry{geom.NewPoint(math.NaN(), 5)}, ds.Geoms[150:]...)...)
+	tab := loadTable(t, ds)
+	for _, w := range []int{1, 4} {
+		var msgs []string
+		for _, build := range []func(*storage.Table, string, int, int) (*rtree.Tree, Stats, error){CreateRtree, CreateRtreeSim} {
+			tree, _, err := build(tab, "geom", 0, w)
+			if err == nil || !strings.Contains(err.Error(), "has invalid MBR") || tree != nil {
+				t.Fatalf("workers=%d: tree %v, err %v; want a nil tree and an invalid-MBR error", w, tree, err)
+			}
+			msgs = append(msgs, err.Error())
+		}
+		if msgs[0] != msgs[1] {
+			t.Errorf("workers=%d: real build reports %q, simulated %q", w, msgs[0], msgs[1])
+		}
+	}
+}
+
+// sortedItems returns tr's items ordered by rowid.
+func sortedItems(tr *rtree.Tree) []rtree.Item {
+	items := tr.Items()
+	slices.SortFunc(items, func(a, b rtree.Item) int { return a.ID.Compare(b.ID) })
+	return items
+}
+
+// sameRowIDs reports whether a and b hold the same rowids, in any order.
+func sameRowIDs(a, b []storage.RowID) bool {
+	set := map[storage.RowID]int{}
+	for _, id := range a {
+		set[id]++
+	}
+	for _, id := range b {
+		set[id]--
+	}
+	for _, n := range set {
+		if n != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestParallelBulkLoadSimSmallInput(t *testing.T) {
 	// Tiny inputs take the sequential path and still report a cluster
 	// time.
 	items := []rtree.Item{
 		{MBR: geom.MBR{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, ID: storage.RowID{Page: 1, Slot: 0}},
 	}
-	tree, cluster, merge := rtree.ParallelBulkLoadSim(items, 8, 4)
-	if tree.Len() != 1 || merge != 0 || cluster < 0 {
-		t.Fatalf("tiny sim build: len=%d cluster=%v merge=%v", tree.Len(), cluster, merge)
+	tree, cluster, serial := rtree.ParallelBulkLoadSim(items, 8, 4)
+	if tree.Len() != 1 || serial != 0 || cluster < 0 {
+		t.Fatalf("tiny sim build: len=%d cluster=%v serial=%v", tree.Len(), cluster, serial)
 	}
 	empty, _, _ := rtree.ParallelBulkLoadSim(nil, 8, 4)
 	if empty.Len() != 0 {

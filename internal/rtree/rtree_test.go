@@ -3,6 +3,7 @@ package rtree
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -262,22 +263,43 @@ func TestBulkLoadIsShallower(t *testing.T) {
 
 func TestParallelBulkLoadEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	items := randomItems(rng, 20000, 1000)
-	serial := BulkLoad(append([]Item(nil), items...), 32)
-	for _, w := range []int{1, 2, 3, 4, 8} {
-		par := ParallelBulkLoad(append([]Item(nil), items...), 32, w)
-		if err := par.Validate(); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if par.Len() != serial.Len() {
-			t.Fatalf("workers=%d: Len %d vs %d", w, par.Len(), serial.Len())
-		}
-		for trial := 0; trial < 25; trial++ {
-			x := rng.Float64() * 900
-			y := rng.Float64() * 900
-			q := geom.MBR{MinX: x, MinY: y, MaxX: x + 50, MaxY: y + 50}
-			if !sameIDSet(collectSearch(par, q), collectSearch(serial, q)) {
-				t.Fatalf("workers=%d trial %d: results differ", w, trial)
+	tiny := []Item{{MBR: geom.MBR{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, ID: rid(0)}}
+	for _, tc := range []struct {
+		name    string
+		items   []Item
+		workers []int
+	}{
+		{"random", randomItems(rng, 20000, 1000), []int{1, 2, 3, 4, 8}},
+		// Tiny and empty inputs take the sequential path, which has no
+		// serial phase around the (one) cluster.
+		{"tiny", tiny, []int{4}},
+		{"empty", nil, []int{4}},
+	} {
+		serial := BulkLoad(append([]Item(nil), tc.items...), 32)
+		for _, w := range tc.workers {
+			par := ParallelBulkLoad(append([]Item(nil), tc.items...), 32, w)
+			if err := par.Validate(); err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
+			}
+			if par.Len() != serial.Len() {
+				t.Fatalf("%s workers=%d: Len %d vs %d", tc.name, w, par.Len(), serial.Len())
+			}
+			// The simulator runs the same body, so it builds the very
+			// same tree.
+			sim, cluster, serialTime := ParallelBulkLoadSim(append([]Item(nil), tc.items...), 32, w)
+			if !reflect.DeepEqual(sim.Items(), par.Items()) {
+				t.Fatalf("%s workers=%d: simulated build differs from the parallel one", tc.name, w)
+			}
+			if cluster < 0 || serialTime < 0 || (len(tc.items) < w*64 && serialTime != 0) {
+				t.Fatalf("%s workers=%d: cluster %v, serial %v", tc.name, w, cluster, serialTime)
+			}
+			for trial := 0; trial < 25; trial++ {
+				x := rng.Float64() * 900
+				y := rng.Float64() * 900
+				q := geom.MBR{MinX: x, MinY: y, MaxX: x + 50, MaxY: y + 50}
+				if !sameIDSet(collectSearch(par, q), collectSearch(serial, q)) {
+					t.Fatalf("%s workers=%d trial %d: results differ", tc.name, w, trial)
+				}
 			}
 		}
 	}

@@ -404,6 +404,6 @@ func SimulateGridJoin(a, b Source, cfg Config, workers int) (GridSimResult, erro
 		j.ready = j.ready[:0]
 	}
 	res.Stats = j.Stats()
-	res.InstanceTimes, res.Elapsed = listSchedule(res.TileTimes, workers)
+	res.InstanceTimes, res.Elapsed = tablefunc.ListSchedule(res.TileTimes, workers)
 	return res, nil
 }

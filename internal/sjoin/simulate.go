@@ -52,30 +52,6 @@ func SimulateParallelIndexJoin(a, b Source, cfg Config, workers int) (SimResult,
 		res.Pairs = append(res.Pairs, pairs...)
 		res.Stats.add(fn.Stats())
 	}
-	res.InstanceTimes, res.Elapsed = listSchedule(times, workers)
+	res.InstanceTimes, res.Elapsed = tablefunc.ListSchedule(times, workers)
 	return res, nil
-}
-
-// listSchedule assigns task times, in order, greedily to the least
-// loaded of `workers` virtual processors (ties to the lowest index) and
-// returns the processors' busy times and the makespan (their max). With
-// at most `workers` tasks every task gets its own processor — the static
-// partitions of the subtree path; with more it is the schedule the grid
-// path's dynamic tile dealing produces.
-func listSchedule(times []time.Duration, workers int) ([]time.Duration, time.Duration) {
-	loads := make([]time.Duration, workers)
-	for _, d := range times {
-		w := 0
-		for i := 1; i < workers; i++ {
-			if loads[i] < loads[w] {
-				w = i
-			}
-		}
-		loads[w] += d
-	}
-	var makespan time.Duration
-	for _, l := range loads {
-		makespan = max(makespan, l)
-	}
-	return loads, makespan
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"spatialtf/internal/storage"
 )
@@ -152,7 +153,7 @@ func Parallel(partitions []storage.Cursor, factory Factory, batch int) storage.C
 		go func(i int, part storage.Cursor) {
 			defer c.wg.Done()
 			defer part.Close()
-			if err := c.runInstance(i, part, factory, batch); err != nil {
+			if err := runInstance(i, part, factory, batch, c.send); err != nil {
 				select {
 				case c.errs <- err:
 				default:
@@ -167,8 +168,12 @@ func Parallel(partitions []storage.Cursor, factory Factory, batch int) storage.C
 	return c
 }
 
-// runInstance drives one instance to completion or cancellation.
-func (c *parallelCursor) runInstance(i int, part storage.Cursor, factory Factory, batch int) error {
+// runInstance builds instance i over part and drives it start-fetch-
+// close to exhaustion, handing every fetch batch to emit; emit returning
+// false stops the instance early. Parallel runs it on one goroutine per
+// partition, Simulate on the calling goroutine, so both report an
+// instance's failure the same way.
+func runInstance(i int, part storage.Cursor, factory Factory, batch int, emit func([]storage.Row) bool) error {
 	fn, err := factory(i, part)
 	if err != nil {
 		return fmt.Errorf("tablefunc: instance %d: %w", i, err)
@@ -182,14 +187,20 @@ func (c *parallelCursor) runInstance(i int, part storage.Cursor, factory Factory
 		if err != nil {
 			return fmt.Errorf("tablefunc: instance %d fetch: %w", i, err)
 		}
-		if len(rows) == 0 {
+		if len(rows) == 0 || !emit(rows) {
 			return nil
 		}
-		select {
-		case c.out <- rows:
-		case <-c.stop:
-			return nil
-		}
+	}
+}
+
+// send hands one instance's batch to the consumer, or reports false once
+// the cursor is shutting down.
+func (c *parallelCursor) send(rows []storage.Row) bool {
+	select {
+	case c.out <- rows:
+		return true
+	case <-c.stop:
+		return false
 	}
 }
 
@@ -242,4 +253,68 @@ func (c *parallelCursor) Close() error {
 	c.wg.Wait()
 	c.done = true
 	return nil
+}
+
+// --- simulated parallel execution ---
+
+// Simulate is Parallel's multi-processor simulator mode, for hosts with
+// fewer cores than the degree of parallelism being measured. It builds
+// the same instances from factory over the same partitions and drives
+// each with the same loop, but one at a time on the calling goroutine,
+// handing every fetch batch to consume as a cursor. Each instance's run
+// (its fetches plus consume) is timed in isolation; the returned
+// per-instance times are the input of ListSchedule. An instance's
+// failure reads exactly as Parallel reports it, and consume's error is
+// returned as is; all partitions are closed on return. batch <= 0
+// selects DefaultBatch.
+func Simulate(partitions []storage.Cursor, factory Factory, batch int, consume func(storage.Cursor) error) ([]time.Duration, error) {
+	if batch <= 0 {
+		batch = DefaultBatch
+	}
+	defer func() {
+		for _, part := range partitions {
+			part.Close()
+		}
+	}()
+	times := make([]time.Duration, 0, len(partitions))
+	for i, part := range partitions {
+		var cerr error
+		t0 := time.Now()
+		err := runInstance(i, part, factory, batch, func(rows []storage.Row) bool {
+			cerr = consume(storage.NewSliceCursor(nil, rows))
+			return cerr == nil
+		})
+		if err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return nil, err
+		}
+		times = append(times, time.Since(t0))
+	}
+	return times, nil
+}
+
+// ListSchedule assigns task times, in order, greedily to the least
+// loaded of `workers` virtual processors (ties to the lowest index) and
+// returns the processors' busy times and the makespan (their max). With
+// at most `workers` tasks every task gets its own processor — the static
+// partitions of Parallel; with more it is the schedule dynamic dealing
+// (the grid join's shared tile queue) produces.
+func ListSchedule(times []time.Duration, workers int) ([]time.Duration, time.Duration) {
+	loads := make([]time.Duration, max(workers, 1))
+	for _, d := range times {
+		w := 0
+		for i := 1; i < len(loads); i++ {
+			if loads[i] < loads[w] {
+				w = i
+			}
+		}
+		loads[w] += d
+	}
+	var makespan time.Duration
+	for _, l := range loads {
+		makespan = max(makespan, l)
+	}
+	return loads, makespan
 }

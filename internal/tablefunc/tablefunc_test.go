@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spatialtf/internal/storage"
 )
@@ -284,6 +285,82 @@ func TestParallelNoPartitions(t *testing.T) {
 	}
 }
 
+func TestSimulateMatchesParallel(t *testing.T) {
+	// The simulator runs the instances Parallel would: same rows, one
+	// time per instance, and an instance failure reads the same.
+	parts := func() []storage.Cursor {
+		return []storage.Cursor{storage.NewSliceCursor(nil, nil), storage.NewSliceCursor(nil, nil), storage.NewSliceCursor(nil, nil)}
+	}
+	factory := func(instance int, input storage.Cursor) (TableFunction, error) {
+		return &counterFn{base: instance * 100, count: 100}, nil
+	}
+	var got []int
+	times, err := Simulate(parts(), factory, 16, func(c storage.Cursor) error {
+		got = append(got, drainInts(t, c)...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(times) != 3 {
+		t.Fatalf("%d instance times, want 3", len(times))
+	}
+	want := drainInts(t, Parallel(parts(), factory, 16))
+	sort.Ints(got)
+	sort.Ints(want)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("simulated rows differ from Parallel's")
+	}
+
+	failing := func(instance int, input storage.Cursor) (TableFunction, error) {
+		return &counterFn{count: 100, fetchErrAt: 10 * instance}, nil
+	}
+	_, simErr := Simulate(parts(), failing, 4, func(c storage.Cursor) error { return nil })
+	c := Parallel(parts()[:2], failing, 4)
+	var parErr error
+	for parErr == nil {
+		var ok bool
+		if _, _, ok, parErr = c.Next(); !ok && parErr == nil {
+			t.Fatal("Parallel: instance error never surfaced")
+		}
+	}
+	c.Close()
+	if simErr == nil || simErr.Error() != parErr.Error() {
+		t.Fatalf("Simulate error %v, Parallel error %v", simErr, parErr)
+	}
+
+	stop := errors.New("consumer refuses")
+	if _, err := Simulate(parts(), factory, 16, func(storage.Cursor) error { return stop }); !errors.Is(err, stop) {
+		t.Fatalf("consumer error = %v, want %v", err, stop)
+	}
+}
+
+func TestListSchedule(t *testing.T) {
+	ms := func(ds ...int) []time.Duration {
+		var out []time.Duration
+		for _, d := range ds {
+			out = append(out, time.Duration(d)*time.Millisecond)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		times    []time.Duration
+		workers  int
+		loads    []time.Duration
+		makespan time.Duration
+	}{
+		{ms(5, 3, 2), 4, ms(5, 3, 2, 0), 5 * time.Millisecond},
+		{ms(4, 3, 2, 2, 1), 2, ms(6, 6), 6 * time.Millisecond},
+		{ms(7), 1, ms(7), 7 * time.Millisecond},
+		{nil, 2, ms(0, 0), 0},
+	} {
+		loads, makespan := ListSchedule(tc.times, tc.workers)
+		if fmt.Sprint(loads) != fmt.Sprint(tc.loads) || makespan != tc.makespan {
+			t.Errorf("ListSchedule(%v, %d) = %v, %v; want %v, %v", tc.times, tc.workers, loads, makespan, tc.loads, tc.makespan)
+		}
+	}
+}
+
 func TestPartitionTableTinyTable(t *testing.T) {
 	tab, err := storage.NewTable("tiny", []storage.Column{{Name: "v", Type: storage.TInt64}})
 	if err != nil {
@@ -297,46 +374,9 @@ func TestPartitionTableTinyTable(t *testing.T) {
 	if len(parts) != 1 {
 		t.Errorf("1-row table partitions = %d", len(parts))
 	}
-	rows, err := CollectRows(parts[0])
+	_, rows, err := storage.Drain(parts[0])
 	if err != nil || len(rows) != 1 {
 		t.Errorf("partition contents: %d rows, %v", len(rows), err)
-	}
-}
-
-func TestPartitionRows(t *testing.T) {
-	rows := make([]storage.Row, 10)
-	for i := range rows {
-		rows[i] = storage.Row{storage.Int(int64(i))}
-	}
-	parts, err := PartitionRows(storage.NewSliceCursor(nil, rows), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 3 {
-		t.Fatalf("got %d partitions", len(parts))
-	}
-	var all []int
-	for _, p := range parts {
-		all = append(all, drainInts(t, p)...)
-	}
-	sort.Ints(all)
-	for i, v := range all {
-		if v != i {
-			t.Fatalf("partitioning lost/duplicated row %d", i)
-		}
-	}
-	// Empty input.
-	parts, err = PartitionRows(storage.NewSliceCursor(nil, nil), 3)
-	if err != nil || len(parts) != 0 {
-		t.Errorf("empty input: %d partitions, %v", len(parts), err)
-	}
-}
-
-func TestCollectRows(t *testing.T) {
-	rows := []storage.Row{{storage.Int(1)}, {storage.Int(2)}}
-	got, err := CollectRows(storage.NewSliceCursor(nil, rows))
-	if err != nil || len(got) != 2 {
-		t.Fatalf("CollectRows = %d rows, %v", len(got), err)
 	}
 }
 
